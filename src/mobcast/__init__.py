@@ -14,8 +14,8 @@ from .design import (EvalRow, OptimizeInfeasibleError, OptimizeReport,
                      design_cost, enumerate_designs, evaluate_design,
                      optimize, replicate_design, scenario_graph)
 from .diffusion import (CascadeEngine, CascadeResult, DecisionParams,
-                        TransmissionParams, run_cascade, seed_count,
-                        seed_exposure, transmission_prob)
+                        TransmissionParams, seed_count, seed_exposure,
+                        transmission_prob)
 from .estimate import (EstimateError, FitResult, PanelData, build_panel,
                        factor_scores, fit_activation, fit_affect_ols,
                        fit_edge_transmission, fit_logistic, read_panel_csv,
@@ -23,8 +23,8 @@ from .estimate import (EstimateError, FitResult, PanelData, build_panel,
 from .falsify import (HYPOTHESES, CalibrationReport, HypothesisSpec,
                       TestReport, calibrate, calibration_scenario, run_test)
 from .game import (EquilibriumReport, JointCascadeResult, PlayerConfig,
-                   best_response_dynamics, joint_cascade, payoff,
-                   payoff_matrices, players_from_scenario)
+                   best_response_dynamics, payoff, payoff_matrices,
+                   players_from_scenario)
 from .graph import (CONTEXT_PRESETS, GraphConfig, GraphError, SocialGraph,
                     block_centers, generate_network, homophily_index,
                     identity_similarity, load_edge_list, modularity,
@@ -52,10 +52,10 @@ __all__ = [
     "enumerate_designs", "evaluate_design", "factor_scores",
     "fit_activation", "fit_affect_ols", "fit_edge_transmission",
     "fit_logistic", "generate_network", "homophily_index",
-    "identity_similarity", "joint_cascade", "load_edge_list",
+    "identity_similarity", "load_edge_list",
     "load_scenario", "matching_vector", "measure_items", "modularity",
     "optimize", "payoff", "payoff_matrices", "players_from_scenario",
-    "preset_scenario", "read_panel_csv", "replicate_design", "run_cascade",
+    "preset_scenario", "read_panel_csv", "replicate_design",
     "run_test", "save_edge_list", "save_scenario", "scenario_graph",
     "scenario_hash", "score_cascade", "seed_count", "seed_exposure",
     "structure_summary", "transmission_prob", "wald_p_value",

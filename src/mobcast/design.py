@@ -148,10 +148,10 @@ def evaluate_design(scenario: Scenario, design: Design,
 
 
 def _eval_row(args) -> EvalRow:
-    scenario, design, cost, feasible, reps, master_seed = args
+    scenario, graph, design, cost, feasible, reps, master_seed = args
     if not feasible:
         return EvalRow(design, cost, False, None, None, None, None, None, None)
-    reports = replicate_design(scenario, design, reps, master_seed)
+    reports = replicate_design(scenario, design, reps, master_seed, graph=graph)
     mean, se = _mean_se([rep.score for rep in reports])
     k = float(len(reports))
     return EvalRow(
@@ -188,10 +188,10 @@ def optimize(scenario: Scenario, space: DesignSpace | None = None,
         bad_tox = design.toxicity > toxicity_limit
         over_budget += bad_budget
         over_toxicity += bad_tox
-        tasks.append((scenario, design, cost, not (bad_budget or bad_tox),
-                      reps, master_seed))
+        tasks.append((scenario, graph, design, cost,
+                      not (bad_budget or bad_tox), reps, master_seed))
 
-    if not any(t[3] for t in tasks):
+    if not any(t[4] for t in tasks):
         binding = []
         if over_budget:
             binding.append(f"budget {budget:g}")
@@ -201,7 +201,7 @@ def optimize(scenario: Scenario, space: DesignSpace | None = None,
             "no feasible design in the space; binding constraint(s): "
             + ", ".join(binding))
 
-    if jobs > 1 and sum(t[3] for t in tasks) > 1:
+    if jobs > 1 and sum(t[4] for t in tasks) > 1:
         with get_context("spawn").Pool(processes=jobs) as pool:
             rows = pool.map(_eval_row, tasks)
     else:

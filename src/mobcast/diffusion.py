@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affect import (PARTICIPATORY_FORMATS, AffectParams, Design,
-                     DesignError, affect_vector, matching_vector)
-from .graph import SocialGraph, identity_similarity
+                     DesignError, matching_vector)
+from .graph import SocialGraph
 from .stats import logistic
 
 __all__ = [
@@ -35,10 +35,8 @@ __all__ = [
     "CascadeEngine",
     "seed_count",
     "seed_exposure",
-    "initial_decision",
     "transmission_prob",
     "b2_effective",
-    "run_cascade",
 ]
 
 
@@ -133,14 +131,6 @@ def seed_exposure(graph: SocialGraph, design: Design,
     return exposure
 
 
-def initial_decision(params: DecisionParams, affect_value: float,
-                     rng: np.random.Generator) -> bool:
-    """Exposure-stage decision of a single agent (no peer term)."""
-    tau = rng.uniform(params.tau_lo, params.tau_hi)
-    eta = rng.normal(0.0, params.sigma_noise) if params.sigma_noise > 0 else 0.0
-    return bool(params.b0 + params.b1 * affect_value - tau + eta > 0.0)
-
-
 def transmission_prob(params: TransmissionParams, sender_affect: float,
                       sim: float, same_block: bool, design: Design) -> float:
     logit = (params.l0
@@ -158,146 +148,165 @@ def b2_effective(params: DecisionParams, design: Design) -> float:
 
 
 class CascadeEngine:
-    """Precompiled cascade for one (graph, design, parameter) tuple.
+    """Precompiled cascade for one graph and one or two competing designs.
 
-    Reusing an engine across replications avoids recomputing matchings,
-    edge similarities and logit constants. Stream consumption per run is
-    fixed: random seeding draw (when applicable), affect noise, tau,
-    decision noise, then one uniform per attempted edge in round order.
+    Reusing an engine across replications avoids recomputing matchings and
+    logit constants; the directed edge arrays are cached on the graph and
+    shared by every engine over it.
+
+    With two designs both sides seed and diffuse at once and adoption is
+    exclusive: an agent joins at most one side, ever. An open agent that
+    clears both sides' activation conditions in the same round joins the
+    side with the higher affective pull (b1 * affect + b2' * peer count
+    for that side); an exact tie is settled by a fair coin. Adopters
+    transmit only their own side.
+
+    Stream consumption per run is fixed: each side's random seeding draw
+    (when applicable), each side's affect noise, tau, decision noise, then
+    per round each side's edge coins (one uniform per attempted edge) and,
+    with two designs, one fair coin per exact pull tie in ascending agent
+    order.
     """
 
     def __init__(self, graph: SocialGraph, affect: AffectParams,
                  decision: DecisionParams, transmission: TransmissionParams,
-                 design: Design):
+                 *designs: Design):
+        if len(designs) not in (1, 2):
+            raise DesignError("a cascade takes one or two designs")
         affect.validate()
         decision.validate()
-        design.validate(graph.identity_dim)
+        for design in designs:
+            design.validate(graph.identity_dim)
         self.graph = graph
         self.affect = affect
         self.decision = decision
         self.transmission = transmission
-        self.design = design
-        n = graph.n
+        self.designs = designs
+        self.arcs = arcs = graph.arcs()
 
-        self.match = matching_vector(graph.identity, design)
-        self.b2eff = b2_effective(decision, design)
-
-        # directed edge arrays sorted by (sender, target) for CSR slicing
-        und = graph.edges
-        if und.shape[0]:
-            src = np.concatenate([und[:, 0], und[:, 1]])
-            dst = np.concatenate([und[:, 1], und[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        self.src, self.dst = src, dst
-        self.indptr = np.searchsorted(src, np.arange(n + 1))
-
-        sim = identity_similarity(graph.identity[src], graph.identity[dst]) \
-            if src.size else np.empty(0)
-        same = graph.block[src] == graph.block[dst] if src.size else np.empty(0, bool)
-        self.edge_base = (transmission.l0
-                          + transmission.l2 * sim
-                          + (transmission.l3 if design.format == "meme" else 0.0)
-                          + transmission.l4_tox * design.toxicity * same)
-
-        self.affect_base = (affect.a0 + affect.a2 * self.match
+        # per-side constants, one row per design
+        self.matches = np.array([matching_vector(graph.identity, d)
+                                 for d in designs])
+        self.match = self.matches[0]
+        self.b2eff = np.array([[b2_effective(decision, d)] for d in designs])
+        self.edge_base = np.array([
+            transmission.l0
+            + transmission.l2 * arcs.similarity
+            + (transmission.l3 if d.format == "meme" else 0.0)
+            + transmission.l4_tox * d.toxicity * arcs.same_block
+            for d in designs])
+        self.affect_base = (affect.a0 + affect.a2 * self.matches
                             + affect.a3 * graph.context)
-        self.affect_gain = (affect.a1 * (1.0 + design.hook)
-                            + affect.a4 * self.match + affect.a5 * graph.context)
-
-        if design.seeding == "random":
-            self.fixed_exposure = None
-        else:
-            self.fixed_exposure = seed_exposure(graph, design, match=self.match)
+        self.affect_gain = (np.array([[affect.a1 * (1.0 + d.hook)] for d in designs])
+                            + affect.a4 * self.matches + affect.a5 * graph.context)
+        # deterministic seedings are drawn here once; random rows stay empty
+        self.random_sides = tuple(s for s, d in enumerate(designs)
+                                  if d.seeding == "random")
+        self.fixed_exposure = np.array([
+            np.zeros(graph.n, dtype=bool) if d.seeding == "random"
+            else seed_exposure(graph, d, match=m)
+            for d, m in zip(designs, self.matches)])
 
     def run(self, rng: np.random.Generator, max_rounds: int | None = None) -> CascadeResult:
-        graph, dec = self.graph, self.decision
-        n = graph.n
+        """One replication of a one-design engine."""
+        if len(self.designs) != 1:
+            raise DesignError("run() takes a one-design engine; "
+                              "two designs run through JointCascadeEngine")
+        return self._run_sides(rng, max_rounds)[0]
+
+    def _run_sides(self, rng: np.random.Generator,
+                   max_rounds: int | None) -> list[CascadeResult]:
+        """One replication; one result per design, in design order."""
+        graph, dec, arcs = self.graph, self.decision, self.arcs
+        n, k = graph.n, len(self.designs)
         if max_rounds is None:
             max_rounds = max(1, n)
         if max_rounds < 1:
             raise DesignError("max_rounds must be >= 1")
 
-        if self.fixed_exposure is None:
-            exposure = seed_exposure(graph, self.design, rng, match=self.match)
-        else:
-            exposure = self.fixed_exposure.copy()
-
-        v = self.affect_base + exposure * self.affect_gain
+        exposure = self.fixed_exposure.copy()
+        for s in self.random_sides:
+            exposure[s] = seed_exposure(graph, self.designs[s], rng,
+                                        match=self.matches[s])
+        affect = self.affect_base + exposure * self.affect_gain
         if self.affect.sigma_u > 0:
-            v = v + rng.normal(0.0, self.affect.sigma_u, size=n)
-        tau = rng.uniform(dec.tau_lo, dec.tau_hi, size=n)
-        base = dec.b0 + dec.b1 * v - tau
+            affect = affect + rng.normal(0.0, self.affect.sigma_u, size=(k, n))
+        # shared draws are shaped (1, n) so one side needs no broadcasting
+        tau = rng.uniform(dec.tau_lo, dec.tau_hi, size=(1, n))
+        base = dec.b0 + dec.b1 * affect - tau
         if dec.sigma_noise > 0:
-            base = base + rng.normal(0.0, dec.sigma_noise, size=n)
+            base = base + rng.normal(0.0, dec.sigma_noise, size=(1, n))
 
-        active = exposure & (base > 0.0)
-        activation_round = np.where(active, 0, -1).astype(np.int64)
-        influence = np.zeros(n, dtype=np.int64)
-        frontier = np.flatnonzero(active)
+        taken = np.zeros((1, n), dtype=bool)  # agents that joined some side
+        activation_round = np.empty((k, n), dtype=np.int64)
+        activation_round.fill(-1)
+        counts = np.zeros((k, n), dtype=np.int64)
+        tried: list[list[tuple]] = [[] for _ in range(k)]
 
-        fired_src: list[np.ndarray] = []
-        fired_dst: list[np.ndarray] = []
-        att_src: list[np.ndarray] = []
-        att_dst: list[np.ndarray] = []
-        att_ok: list[np.ndarray] = []
-
+        frontiers = self._adopt(exposure & (base > 0.0), affect, counts,
+                                taken[0], activation_round, 0, rng)
+        src, dst, l1 = arcs.src, arcs.dst, self.transmission.l1
         rounds_run = 0
         for r in range(1, max_rounds + 1):
             rounds_run = r
-            if frontier.size:
-                starts = self.indptr[frontier]
-                counts = self.indptr[frontier + 1] - starts
-                total = int(counts.sum())
-                shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                eidx = (np.arange(total, dtype=np.int64)
-                        - np.repeat(shift, counts) + np.repeat(starts, counts))
-                if eidx.size:
-                    eidx = eidx[~active[self.dst[eidx]]]
-                if eidx.size:
-                    logit = self.edge_base[eidx] + self.transmission.l1 * v[self.src[eidx]]
-                    ok = rng.random(eidx.size) < logistic(logit)
-                    att_src.append(self.src[eidx])
-                    att_dst.append(self.dst[eidx])
-                    att_ok.append(ok)
-                    hit = self.dst[eidx[ok]]
-                    if hit.size:
-                        fired_src.append(self.src[eidx[ok]])
-                        fired_dst.append(hit)
-                        np.add.at(influence, hit, 1)
+            is_open = ~taken
+            for s, frontier in enumerate(frontiers):
+                if not frontier.size:
+                    continue
+                eidx = arcs.out_arcs(frontier)
+                eidx = eidx[is_open[0][dst[eidx]]]
+                if not eidx.size:
+                    continue
+                sender, target = src[eidx], dst[eidx]
+                ok = rng.random(eidx.size) < logistic(
+                    self.edge_base[s][eidx] + l1 * affect[s][sender])
+                tried[s].append((sender, target, ok))
+                np.add.at(counts[s], target[ok], 1)
 
-            candidates = (~active) & (influence > 0)
-            new = candidates & (base + self.b2eff * influence > 0.0)
-            frontier = np.flatnonzero(new)
-            if frontier.size == 0:
+            qual = is_open & (counts > 0) & (base + self.b2eff * counts > 0.0)
+            frontiers = self._adopt(qual, affect, counts, taken[0],
+                                    activation_round, r, rng)
+            if not any(map(len, frontiers)):
                 break
-            active |= new
-            activation_round[frontier] = r
 
-        if fired_src:
-            fired = np.column_stack([np.concatenate(fired_src),
-                                     np.concatenate(fired_dst)])
-        else:
-            fired = np.empty((0, 2), dtype=np.int64)
-        if att_src:
-            attempts = np.column_stack([np.concatenate(att_src),
-                                        np.concatenate(att_dst),
-                                        np.concatenate(att_ok).astype(np.int64)])
-        else:
-            attempts = np.empty((0, 3), dtype=np.int64)
+        results = []
+        for s in range(k):
+            if tried[s]:
+                senders, targets, oks = zip(*tried[s])
+                attempts = np.column_stack([
+                    np.concatenate(senders), np.concatenate(targets),
+                    np.concatenate(oks).astype(np.int64)])
+                fired = attempts[attempts[:, 2] == 1, :2]
+            else:
+                attempts = np.empty((0, 3), dtype=np.int64)
+                fired = np.empty((0, 2), dtype=np.int64)
+            results.append(CascadeResult(
+                exposure=exposure[s], affect=affect[s],
+                active=activation_round[s] >= 0,
+                activation_round=activation_round[s],
+                fired_edges=fired, attempts=attempts, rounds_run=rounds_run))
+        return results
 
-        return CascadeResult(exposure=exposure, affect=v, active=active,
-                             activation_round=activation_round,
-                             fired_edges=fired, attempts=attempts,
-                             rounds_run=rounds_run)
-
-
-def run_cascade(graph: SocialGraph, affect: AffectParams, decision: DecisionParams,
-                transmission: TransmissionParams, design: Design,
-                rng: np.random.Generator, max_rounds: int | None = None) -> CascadeResult:
-    """One cascade replication; see CascadeEngine for the stream contract."""
-    engine = CascadeEngine(graph, affect, decision, transmission, design)
-    return engine.run(rng, max_rounds=max_rounds)
+    def _adopt(self, qual, affect, counts, taken, activation_round, r, rng):
+        """Let the open agents that qualify (one row per side) join a side
+        in round r and return each side's new adopters. With two designs
+        an agent qualifying for both joins the side with the higher pull,
+        a fair coin settling exact ties."""
+        if qual.shape[0] == 2:
+            qual_l, qual_r = qual
+            pull_l, pull_r = self.decision.b1 * affect + self.b2eff * counts
+            both = qual_l & qual_r
+            take_l = (qual_l & ~qual_r) | (both & (pull_l > pull_r))
+            take_r = (qual_r & ~qual_l) | (both & (pull_r > pull_l))
+            tied = (both & (pull_l == pull_r)).nonzero()[0]
+            if tied.size:
+                coin = rng.random(tied.size) < 0.5
+                take_l[tied[coin]] = True
+                take_r[tied[~coin]] = True
+            qual = (take_l, take_r)
+        frontiers = [row.nonzero()[0] for row in qual]
+        for frontier, when in zip(frontiers, activation_round):
+            if frontier.size:
+                taken[frontier] = True
+                when[frontier] = r
+        return frontiers

@@ -1,12 +1,7 @@
 """Two-side strategic competition over the same network.
 
-Both sides seed and diffuse simultaneously under the single-side cascade
-rules, with exclusive adoption: an agent joins at most one side, ever.
-When an inactive agent clears both sides' activation conditions in the
-same round it joins the side with the higher affective pull
-(b1 * affect + b2' * peer count for that side); an exact tie is settled
-by a fair coin from the replication stream. Adopters transmit only
-their own side.
+Both sides run as one two-design cascade (diffusion.CascadeEngine), with
+exclusive adoption and pull ties settled by the replication stream.
 
 Payoffs weight each side's own cohesion, participation and sway, minus
 a shared polarization penalty computed on pooled adoption-by-block
@@ -22,22 +17,19 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .affect import AffectParams, Design, DesignError, matching_vector
+from .affect import AffectParams, Design, DesignError
 from .design import scenario_graph
-from .diffusion import (CascadeResult, DecisionParams, TransmissionParams,
-                        b2_effective, seed_exposure)
-from .graph import (SocialGraph, block_centers, generate_network,
-                    identity_similarity)
-from .impact import block_rates, undecided_mask
+from .diffusion import (CascadeEngine, CascadeResult, DecisionParams,
+                        TransmissionParams)
+from .graph import SocialGraph, block_centers, generate_network
+from .impact import cohesion, participation, polarization, sway
 from .scenario import Scenario, derive_stream
-from .stats import logistic
 
 __all__ = [
     "PlayerConfig",
     "JointCascadeResult",
     "EquilibriumReport",
     "JointCascadeEngine",
-    "joint_cascade",
     "payoff",
     "players_from_scenario",
     "payoff_matrices",
@@ -78,9 +70,6 @@ class JointCascadeResult:
     polarization: float
     rounds_run: int
 
-    def side_result(self, side: str) -> CascadeResult:
-        return self.left if side == "L" else self.right
-
     def side_match(self, side: str) -> np.ndarray:
         return self.match_left if side == "L" else self.match_right
 
@@ -99,182 +88,27 @@ class EquilibriumReport:
     master_seed: int
 
 
-class _Side:
-    """Per-side precomputation shared across replications."""
-
-    def __init__(self, graph: SocialGraph, affect: AffectParams,
-                 decision: DecisionParams, transmission: TransmissionParams,
-                 design: Design, edge_sim: np.ndarray, same_block: np.ndarray):
-        design.validate(graph.identity_dim)
-        self.design = design
-        self.match = matching_vector(graph.identity, design)
-        self.b2eff = b2_effective(decision, design)
-        self.affect_base = (affect.a0 + affect.a2 * self.match
-                            + affect.a3 * graph.context)
-        self.affect_gain = (affect.a1 * (1.0 + design.hook)
-                            + affect.a4 * self.match + affect.a5 * graph.context)
-        self.edge_base = (transmission.l0
-                          + transmission.l2 * edge_sim
-                          + (transmission.l3 if design.format == "meme" else 0.0)
-                          + transmission.l4_tox * design.toxicity * same_block)
-
-
-class JointCascadeEngine:
-    """Joint cascade for one (graph, left design, right design) tuple.
-
-    Stream consumption per run: left seed draw (random seeding only),
-    right seed draw, left affect noise, right affect noise, thresholds,
-    decision noise, then per round left edge coins, right edge coins,
-    and one fair coin per exact pull tie in ascending agent order.
-    """
+class JointCascadeEngine(CascadeEngine):
+    """The cascade engine over a left and a right design; see
+    CascadeEngine for the adoption rule and the stream contract."""
 
     def __init__(self, graph: SocialGraph, affect: AffectParams,
                  decision: DecisionParams, transmission: TransmissionParams,
                  design_left: Design, design_right: Design):
-        affect.validate()
-        decision.validate()
-        self.graph = graph
-        self.affect = affect
-        self.decision = decision
-        self.transmission = transmission
-        n = graph.n
-
-        und = graph.edges
-        if und.shape[0]:
-            src = np.concatenate([und[:, 0], und[:, 1]])
-            dst = np.concatenate([und[:, 1], und[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        self.src, self.dst = src, dst
-        self.indptr = np.searchsorted(src, np.arange(n + 1))
-        edge_sim = identity_similarity(graph.identity[src], graph.identity[dst]) \
-            if src.size else np.empty(0)
-        same = graph.block[src] == graph.block[dst] if src.size else np.empty(0, bool)
-
-        self.sides = (
-            _Side(graph, affect, decision, transmission, design_left, edge_sim, same),
-            _Side(graph, affect, decision, transmission, design_right, edge_sim, same),
-        )
-
-    def _out_edges(self, frontier: np.ndarray) -> np.ndarray:
-        starts = self.indptr[frontier]
-        counts = self.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        return (np.arange(total, dtype=np.int64)
-                - np.repeat(shift, counts) + np.repeat(starts, counts))
+        super().__init__(graph, affect, decision, transmission,
+                         design_left, design_right)
 
     def run(self, rng: np.random.Generator,
             max_rounds: int | None = None) -> JointCascadeResult:
-        graph, dec = self.graph, self.decision
-        n = graph.n
-        if max_rounds is None:
-            max_rounds = max(1, n)
-
-        exposures = [seed_exposure(graph, s.design, rng, match=s.match)
-                     for s in self.sides]
-        affects = []
-        for s, exp in zip(self.sides, exposures):
-            v = s.affect_base + exp * s.affect_gain
-            if self.affect.sigma_u > 0:
-                v = v + rng.normal(0.0, self.affect.sigma_u, size=n)
-            affects.append(v)
-        tau = rng.uniform(dec.tau_lo, dec.tau_hi, size=n)
-        noise = rng.normal(0.0, dec.sigma_noise, size=n) if dec.sigma_noise > 0 \
-            else np.zeros(n)
-        bases = [dec.b0 + dec.b1 * affects[k] - tau + noise for k in range(2)]
-
-        adoption = np.zeros(n, dtype=np.int8)
-        rounds = [np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64)]
-        counts = [np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)]
-        fired: list[list[np.ndarray]] = [[], []]
-        attempts: list[list[np.ndarray]] = [[], []]
-
-        def resolve(qual_l, qual_r, pull_l, pull_r, rnd):
-            """Assign winners for this round, coin-flipping exact ties."""
-            both = qual_l & qual_r
-            take_l = (qual_l & ~qual_r) | (both & (pull_l > pull_r))
-            take_r = (qual_r & ~qual_l) | (both & (pull_r > pull_l))
-            tied = np.flatnonzero(both & (pull_l == pull_r))
-            if tied.size:
-                coin = rng.random(tied.size) < 0.5
-                take_l[tied[coin]] = True
-                take_r[tied[~coin]] = True
-            adoption[take_l] = 1
-            adoption[take_r] = 2
-            rounds[0][take_l] = rnd
-            rounds[1][take_r] = rnd
-            return np.flatnonzero(take_l), np.flatnonzero(take_r)
-
-        qual = [exposures[k] & (bases[k] > 0.0) for k in range(2)]
-        pulls = [dec.b1 * affects[k] for k in range(2)]
-        frontiers = resolve(qual[0], qual[1], pulls[0], pulls[1], 0)
-
-        rounds_run = 0
-        for r in range(1, max_rounds + 1):
-            rounds_run = r
-            open_at_start = adoption == 0
-            for k in range(2):
-                frontier = frontiers[k]
-                if not frontier.size:
-                    continue
-                eidx = self._out_edges(frontier)
-                if eidx.size:
-                    eidx = eidx[open_at_start[self.dst[eidx]]]
-                if not eidx.size:
-                    continue
-                side = self.sides[k]
-                logit = side.edge_base[eidx] \
-                    + self.transmission.l1 * affects[k][self.src[eidx]]
-                ok = rng.random(eidx.size) < logistic(logit)
-                attempts[k].append(np.column_stack([
-                    self.src[eidx], self.dst[eidx], ok.astype(np.int64)]))
-                hit = self.dst[eidx[ok]]
-                if hit.size:
-                    fired[k].append(np.column_stack([self.src[eidx[ok]], hit]))
-                    np.add.at(counts[k], hit, 1)
-
-            open_now = adoption == 0
-            qual = [open_now & (counts[k] > 0)
-                    & (bases[k] + self.sides[k].b2eff * counts[k] > 0.0)
-                    for k in range(2)]
-            pulls = [dec.b1 * affects[k] + self.sides[k].b2eff * counts[k]
-                     for k in range(2)]
-            frontiers = resolve(qual[0], qual[1], pulls[0], pulls[1], r)
-            if not frontiers[0].size and not frontiers[1].size:
-                break
-
-        def stack(parts, width):
-            if parts:
-                return np.concatenate(parts, axis=0)
-            return np.empty((0, width), dtype=np.int64)
-
-        side_results = []
-        for k in range(2):
-            side_results.append(CascadeResult(
-                exposure=exposures[k], affect=affects[k],
-                active=adoption == k + 1, activation_round=rounds[k],
-                fired_edges=stack(fired[k], 2), attempts=stack(attempts[k], 3),
-                rounds_run=rounds_run))
-
-        pooled = block_rates(graph, adoption > 0)
-        polarization = float(pooled.max() - pooled.min()) if pooled.size > 1 else 0.0
+        left, right = self._run_sides(rng, max_rounds)
+        adoption = np.zeros(self.graph.n, dtype=np.int8)
+        adoption[left.active] = 1
+        adoption[right.active] = 2
         return JointCascadeResult(
-            adoption=adoption, left=side_results[0], right=side_results[1],
-            match_left=self.sides[0].match, match_right=self.sides[1].match,
-            polarization=polarization, rounds_run=rounds_run)
-
-
-def joint_cascade(graph: SocialGraph, design_left: Design, design_right: Design,
-                  affect: AffectParams, decision: DecisionParams,
-                  transmission: TransmissionParams, rng: np.random.Generator,
-                  max_rounds: int | None = None) -> JointCascadeResult:
-    engine = JointCascadeEngine(graph, affect, decision, transmission,
-                                design_left, design_right)
-    return engine.run(rng, max_rounds=max_rounds)
+            adoption=adoption, left=left, right=right,
+            match_left=self.matches[0], match_right=self.matches[1],
+            polarization=polarization(self.graph, adoption > 0),
+            rounds_run=left.rounds_run)
 
 
 def payoff(player: PlayerConfig, graph: SocialGraph,
@@ -283,22 +117,9 @@ def payoff(player: PlayerConfig, graph: SocialGraph,
     """One side's payoff for one joint outcome."""
     player.validate()
     mine = joint.adoption == (1 if player.side == "L" else 2)
-    n = graph.n
-    count = int(np.count_nonzero(mine))
-
-    participation = count / n if n else 0.0
-
-    cohesion = 0.0
-    if count >= 2 and graph.n_edges:
-        inside = mine[graph.edges[:, 0]] & mine[graph.edges[:, 1]]
-        cohesion = float(np.count_nonzero(inside)) / (count * (count - 1) / 2.0)
-
-    und = undecided_mask(joint.side_match(player.side), delta_u)
-    total_und = int(np.count_nonzero(und))
-    sway = (float(np.count_nonzero(und & mine)) / total_und) if total_und else 0.0
-
     w1, w2, w3 = player.weights
-    return w1 * cohesion + w2 * participation + w3 * sway \
+    return w1 * cohesion(graph, mine) + w2 * participation(graph, mine) \
+        + w3 * sway(joint.side_match(player.side), mine, delta_u) \
         - kappa * joint.polarization
 
 
@@ -326,20 +147,15 @@ def players_from_scenario(scenario: Scenario) -> tuple[PlayerConfig, PlayerConfi
 
 
 def _profile_cell(args) -> tuple[float, float]:
-    (scenario, left_player, right_player, design_left, design_right,
+    (scenario, graph, left_player, right_player, design_left, design_right,
      reps, master_seed) = args
-    graph = None
-    engine = None
-    if not scenario.regenerate_graph_per_rep:
-        graph = scenario_graph(scenario, master_seed)
-        engine = JointCascadeEngine(graph, scenario.affect, scenario.decision,
-                                    scenario.transmission, design_left,
-                                    design_right)
+    regen = scenario.regenerate_graph_per_rep
     total_l = total_r = 0.0
     for r in range(reps):
-        if scenario.regenerate_graph_per_rep:
+        if regen:
             graph = generate_network(scenario.graph,
                                      derive_stream(master_seed, r, "graph"))
+        if regen or r == 0:
             engine = JointCascadeEngine(graph, scenario.affect,
                                         scenario.decision,
                                         scenario.transmission,
@@ -361,7 +177,10 @@ def payoff_matrices(scenario: Scenario, left_player: PlayerConfig,
     sees the same replication streams (common random numbers)."""
     left_player.validate()
     right_player.validate()
-    tasks = [(scenario, left_player, right_player, dl, dr, reps, master_seed)
+    graph = None if scenario.regenerate_graph_per_rep \
+        else scenario_graph(scenario, master_seed)
+    tasks = [(scenario, graph, left_player, right_player, dl, dr, reps,
+              master_seed)
              for dl in left_player.strategy_set
              for dr in right_player.strategy_set]
     if jobs > 1 and len(tasks) > 1:

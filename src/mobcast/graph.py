@@ -71,6 +71,26 @@ class GraphConfig:
             raise GraphError(f"unknown context preset {self.context!r}")
 
 
+@dataclass(frozen=True)
+class Arcs:
+    """Both directions of every edge, sorted by (sender, target), with the
+    per-arc quantities the cascade's transmission logit reads."""
+
+    src: np.ndarray         # (2m,) int64 sender
+    dst: np.ndarray         # (2m,) int64 target
+    indptr: np.ndarray      # (n + 1,) arcs of sender i are indptr[i]:indptr[i+1]
+    similarity: np.ndarray  # (2m,) identity similarity of sender and target
+    same_block: np.ndarray  # (2m,) bool
+
+    def out_arcs(self, senders: np.ndarray) -> np.ndarray:
+        """Indices of every arc leaving `senders`, in sender order."""
+        starts = self.indptr[senders]
+        counts = self.indptr[senders + 1] - starts
+        ends = counts.cumsum()
+        return (np.arange(int(ends[-1]), dtype=np.int64)
+                + (starts - (ends - counts)).repeat(counts))
+
+
 @dataclass
 class SocialGraph:
     """A sampled network: edges, block labels, identities, context scalars."""
@@ -81,6 +101,9 @@ class SocialGraph:
     identity: np.ndarray  # (n, d) float64 in [0, 1]
     context: np.ndarray  # (n,) float64 in [0, 1]
     _degree: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # not an init field, so dataclasses.replace never carries it over
+    _arcs: Arcs | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @property
     def n_edges(self) -> int:
@@ -102,6 +125,26 @@ class SocialGraph:
                 np.add.at(deg, self.edges[:, 1], 1)
             self._degree = deg
         return self._degree
+
+    def arcs(self) -> Arcs:
+        """The directed edge arrays, built on first use and then shared by
+        every cascade engine over this graph."""
+        if self._arcs is None:
+            und = self.edges
+            if und.shape[0]:
+                src = np.concatenate([und[:, 0], und[:, 1]])
+                dst = np.concatenate([und[:, 1], und[:, 0]])
+                order = np.lexsort((dst, src))
+                src, dst = src[order], dst[order]
+                sim = identity_similarity(self.identity[src], self.identity[dst])
+                same = self.block[src] == self.block[dst]
+            else:
+                src = dst = np.empty(0, dtype=np.int64)
+                sim, same = np.empty(0), np.empty(0, dtype=bool)
+            self._arcs = Arcs(src=src, dst=dst,
+                              indptr=np.searchsorted(src, np.arange(self.n + 1)),
+                              similarity=sim, same_block=same)
+        return self._arcs
 
     def validate(self) -> None:
         if self.edges.ndim != 2 or (self.n_edges and self.edges.shape[1] != 2):

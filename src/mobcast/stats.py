@@ -38,11 +38,9 @@ class StatsError(ValueError):
 def logistic(x):
     """Numerically stable sigmoid, scalar or array."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere
+    den = 1.0 + ex
+    out = np.where(x >= 0, 1.0 / den, ex / den)
     if out.ndim == 0:
         return float(out)
     return out

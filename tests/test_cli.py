@@ -192,6 +192,15 @@ def test_calibrate_outputs(scenario_file, tmp_path):
     assert len(payload["calibration"]) == 5
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize", "game"])
+def test_jobs_below_one_is_rejected(scenario_file, tmp_path, capsys, command):
+    path, _ = scenario_file
+    assert main([command, "--scenario", path, "--out", str(tmp_path),
+                 "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_preset_and_error_paths(tmp_path, capsys):
     assert main(["generate", "--scenario", "ama-fragmented",
                  "--out", str(tmp_path)]) == 0

@@ -133,3 +133,19 @@ def test_optimize_parallel_matches_serial():
     parallel = optimize(scenario, jobs=2)
     assert serial.table == parallel.table
     assert serial.best_design == parallel.best_design
+
+
+def test_optimize_samples_the_graph_once(monkeypatch):
+    import mobcast.design
+
+    calls = []
+    sample = mobcast.design.generate_network
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(mobcast.design, "generate_network", counting)
+    report = optimize(small_scenario(), jobs=1)
+    assert sum(row.feasible for row in report.table) > 1
+    assert len(calls) == 1

@@ -10,7 +10,6 @@ from mobcast.diffusion import (
     DecisionParams,
     TransmissionParams,
     b2_effective,
-    run_cascade,
     seed_count,
     seed_exposure,
     transmission_prob,
@@ -112,8 +111,8 @@ def test_transmission_prob_hand_logit():
 
 def test_run_invariants():
     graph, affect, decision, transmission, design = mid_setup()
-    res = run_cascade(graph, affect, decision, transmission, design,
-                      derive_stream(77, "invariants"))
+    res = CascadeEngine(graph, affect, decision, transmission,
+                        design).run(derive_stream(77, "invariants"))
     n = graph.n
     assert res.exposure.sum() == seed_count(n, design.seed_fraction)
     assert np.array_equal(res.active, res.activation_round >= 0)

@@ -170,3 +170,34 @@ def test_best_response_report_consistency():
 def test_best_response_rejects_bad_iters():
     with pytest.raises(DesignError):
         best_response_dynamics(contest_scenario(), reps=2, max_iters=0)
+
+
+def test_payoff_matrices_samples_the_graph_once(monkeypatch):
+    import mobcast.design
+
+    calls = []
+    sample = mobcast.design.generate_network
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(mobcast.design, "generate_network", counting)
+    scenario = contest_scenario()
+    left_p, right_p = players_from_scenario(scenario)
+    pay_l, _ = payoff_matrices(scenario, left_p, right_p, reps=2,
+                               master_seed=55, jobs=1)
+    assert pay_l.size > 1
+    assert len(calls) == 1
+
+
+def test_joint_max_rounds_must_be_positive():
+    scenario = contest_scenario()
+    left_p, right_p = players_from_scenario(scenario)
+    from mobcast.design import scenario_graph
+    engine = JointCascadeEngine(scenario_graph(scenario), scenario.affect,
+                                scenario.decision, scenario.transmission,
+                                left_p.strategy_set[0],
+                                right_p.strategy_set[0])
+    with pytest.raises(DesignError):
+        engine.run(derive_stream(scenario.master_seed, 0), max_rounds=0)
