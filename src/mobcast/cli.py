@@ -368,6 +368,8 @@ def run_estimate(scenario: Scenario, out_dir: str,
 
 def run_calibrate(scenario: Scenario, out_dir: str, meta_reps: int = 400,
                   alpha: float = 0.05) -> list:
+    """Type-I error rates on calibration_scenario(scenario); the artifacts
+    carry that scenario's name and hash, since it is the one that ran."""
     small = calibration_scenario(scenario)
     reports = []
     for hid in HYPOTHESES:
@@ -377,7 +379,7 @@ def run_calibrate(scenario: Scenario, out_dir: str, meta_reps: int = 400,
 
     csv_path = os.path.join(out_dir, "calibration.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(_meta_line(scenario))
+        fh.write(_meta_line(small))
         fh.write("id,meta_reps,rejections,rate,ci_low,ci_high,alpha\n")
         for rep in reports:
             fh.write(",".join([rep.id, str(rep.meta_reps),
@@ -386,8 +388,8 @@ def run_calibrate(scenario: Scenario, out_dir: str, meta_reps: int = 400,
                                _fmt(rep.alpha)]) + "\n")
     _announce(csv_path)
     json_path = os.path.join(out_dir, "calibration.json")
-    _write_json(json_path, scenario, {"calibration": reports,
-                                      "meta_reps": meta_reps})
+    _write_json(json_path, small, {"calibration": reports,
+                                   "meta_reps": meta_reps})
     _announce(json_path)
     return reports
 

@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from mobcast.cli import IMPACT_COLUMNS, TRACE_COLUMNS, main
+from mobcast.falsify import calibration_scenario
 from mobcast.graph import GraphConfig, load_edge_list
 from mobcast.scenario import (
     DesignSpace,
@@ -199,6 +200,19 @@ def test_jobs_below_one_is_rejected(scenario_file, tmp_path, capsys, command):
                  "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_calibrate_stamps_the_scenario_it_ran(scenario_file, tmp_path):
+    path, scenario = scenario_file
+    csvs = []
+    for extra in ([], ["--reps", "200"]):
+        out = tmp_path / f"run{len(csvs)}"
+        assert main(["calibrate", "--scenario", path, "--out", str(out),
+                     "--meta-reps", "2"] + extra) == 0
+        csvs.append((out / "calibration.csv").read_text())
+    assert csvs[0] == csvs[1]
+    ran = calibration_scenario(scenario)
+    assert f"scenario_hash={scenario_hash(ran)}" in csvs[0].splitlines()[0]
 
 
 def test_preset_and_error_paths(tmp_path, capsys):
