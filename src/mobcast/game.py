@@ -92,6 +92,8 @@ class JointCascadeEngine(CascadeEngine):
     """The cascade engine over a left and a right design; see
     CascadeEngine for the adoption rule and the stream contract."""
 
+    # Defined here rather than inherited: it names the two sides, and
+    # perfbench/tracing.py times this class's own __init__ and run.
     def __init__(self, graph: SocialGraph, affect: AffectParams,
                  decision: DecisionParams, transmission: TransmissionParams,
                  design_left: Design, design_right: Design):

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "GraphConfig",
     "SocialGraph",
+    "Arcs",
     "GraphError",
     "generate_network",
     "identity_similarity",
@@ -83,7 +84,8 @@ class Arcs:
     same_block: np.ndarray  # (2m,) bool
 
     def out_arcs(self, senders: np.ndarray) -> np.ndarray:
-        """Indices of every arc leaving `senders`, in sender order."""
+        """Indices of every arc leaving the (non-empty) `senders`, in
+        sender order."""
         starts = self.indptr[senders]
         counts = self.indptr[senders + 1] - starts
         ends = counts.cumsum()
@@ -100,8 +102,9 @@ class SocialGraph:
     block: np.ndarray  # (n,) int64
     identity: np.ndarray  # (n, d) float64 in [0, 1]
     context: np.ndarray  # (n,) float64 in [0, 1]
-    _degree: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # not an init field, so dataclasses.replace never carries it over
+    # caches; not init fields, so dataclasses.replace never carries them over
+    _degree: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
     _arcs: Arcs | None = field(default=None, init=False, repr=False,
                                compare=False)
 

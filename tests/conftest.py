@@ -1,0 +1,20 @@
+"""Shared fixtures."""
+
+import pytest
+
+
+@pytest.fixture
+def graph_samples(monkeypatch):
+    """A list that grows by one per graph sampled through
+    mobcast.design.generate_network (the path scenario_graph takes)."""
+    import mobcast.design
+
+    calls = []
+    sample = mobcast.design.generate_network
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(mobcast.design, "generate_network", counting)
+    return calls

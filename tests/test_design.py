@@ -135,17 +135,7 @@ def test_optimize_parallel_matches_serial():
     assert serial.best_design == parallel.best_design
 
 
-def test_optimize_samples_the_graph_once(monkeypatch):
-    import mobcast.design
-
-    calls = []
-    sample = mobcast.design.generate_network
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(mobcast.design, "generate_network", counting)
+def test_optimize_samples_the_graph_once(graph_samples):
     report = optimize(small_scenario(), jobs=1)
     assert sum(row.feasible for row in report.table) > 1
-    assert len(calls) == 1
+    assert len(graph_samples) == 1

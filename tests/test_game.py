@@ -172,23 +172,13 @@ def test_best_response_rejects_bad_iters():
         best_response_dynamics(contest_scenario(), reps=2, max_iters=0)
 
 
-def test_payoff_matrices_samples_the_graph_once(monkeypatch):
-    import mobcast.design
-
-    calls = []
-    sample = mobcast.design.generate_network
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(mobcast.design, "generate_network", counting)
+def test_payoff_matrices_samples_the_graph_once(graph_samples):
     scenario = contest_scenario()
     left_p, right_p = players_from_scenario(scenario)
     pay_l, _ = payoff_matrices(scenario, left_p, right_p, reps=2,
                                master_seed=55, jobs=1)
     assert pay_l.size > 1
-    assert len(calls) == 1
+    assert len(graph_samples) == 1
 
 
 def test_joint_max_rounds_must_be_positive():

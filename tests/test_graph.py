@@ -1,5 +1,7 @@
 """Network generator tests: block layout, homophily, persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,28 @@ def test_degree_counts_and_cache():
     g = hand_graph()
     assert g.degree().tolist() == [1, 2, 2, 1]
     assert g.degree() is g.degree()
+
+
+def test_arcs_list_both_directions_by_sender():
+    g = hand_graph()
+    arcs = g.arcs()
+    assert arcs is g.arcs()
+    assert arcs.src.tolist() == [0, 1, 1, 2, 2, 3]
+    assert arcs.dst.tolist() == [1, 0, 2, 1, 3, 2]
+    assert arcs.indptr.tolist() == [0, 1, 3, 5, 6]
+    assert arcs.same_block.tolist() == [True, True, False, False, True, True]
+    assert arcs.similarity.tolist() == pytest.approx([1.0, 1.0, 0.2, 0.2, 1.0, 1.0])
+    assert arcs.out_arcs(np.array([1, 3])).tolist() == [1, 2, 5]
+
+
+def test_caches_do_not_survive_replace():
+    g = hand_graph()
+    g.degree()
+    g.arcs()
+    h = replace(g, edges=np.array([[0, 3]], dtype=np.int64))
+    assert h.degree().tolist() == [1, 0, 0, 1]
+    assert h.arcs().src.tolist() == [0, 3]
+    assert h.arcs().dst.tolist() == [3, 0]
 
 
 def test_graph_validation_rejects_bad_edges():
