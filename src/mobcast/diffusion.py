@@ -206,6 +206,14 @@ class CascadeEngine:
             np.zeros(graph.n, dtype=bool) if d.seeding == "random"
             else seed_exposure(graph, d, match=m)
             for d, m in zip(designs, self.matches)])
+        # with no random seeding and no affect noise, affect and the part
+        # of the decision index built from it repeat every run
+        self.fixed_affect = self.fixed_pull = None
+        if not self.random_sides and affect.sigma_u <= 0:
+            self.fixed_affect = (self.affect_base
+                                 + self.fixed_exposure * self.affect_gain)
+            self.fixed_pull = decision.b0 + decision.b1 * self.fixed_affect
+        self.unset_round = np.full((len(designs), graph.n), -1, dtype=np.int64)
 
     def run(self, rng: np.random.Generator, max_rounds: int | None = None) -> CascadeResult:
         """One replication of a one-design engine."""
@@ -228,55 +236,66 @@ class CascadeEngine:
         for s in self.random_sides:
             exposure[s] = seed_exposure(graph, self.designs[s], rng,
                                         match=self.matches[s])
-        affect = self.affect_base + exposure * self.affect_gain
-        if self.affect.sigma_u > 0:
-            affect = affect + rng.normal(0.0, self.affect.sigma_u, size=(k, n))
-        # shared draws are shaped (1, n) so one side needs no broadcasting
-        tau = rng.uniform(dec.tau_lo, dec.tau_hi, size=(1, n))
-        base = dec.b0 + dec.b1 * affect - tau
+        if self.fixed_affect is not None:
+            affect, pull = self.fixed_affect.copy(), self.fixed_pull
+        else:
+            affect = self.affect_base + exposure * self.affect_gain
+            if self.affect.sigma_u > 0:
+                affect = affect + rng.normal(0.0, self.affect.sigma_u, size=(k, n))
+            pull = dec.b0 + dec.b1 * affect
+        # tau and the decision noise are shared by both sides
+        base = pull - rng.uniform(dec.tau_lo, dec.tau_hi, size=n)
         if dec.sigma_noise > 0:
-            base = base + rng.normal(0.0, dec.sigma_noise, size=(1, n))
+            base += rng.normal(0.0, dec.sigma_noise, size=n)
 
-        taken = np.zeros((1, n), dtype=bool)  # agents that joined some side
-        activation_round = np.empty((k, n), dtype=np.int64)
-        activation_round.fill(-1)
+        taken = np.zeros(n, dtype=bool)  # agents that joined some side
+        activation_round = self.unset_round.copy()
         counts = np.zeros((k, n), dtype=np.int64)
-        tried: list[list[tuple]] = [[] for _ in range(k)]
+        tried: list[list[tuple]] = [[] for _ in range(k)]  # (arcs, success)
 
         frontiers = self._adopt(exposure & (base > 0.0), affect, counts,
-                                taken[0], activation_round, 0, rng)
-        src, dst, l1 = arcs.src, arcs.dst, self.transmission.l1
+                                taken, activation_round, 0, rng)
+        dst, l1 = arcs.dst, self.transmission.l1
         rounds_run = 0
         for r in range(1, max_rounds + 1):
             rounds_run = r
-            is_open = ~taken
+            hit = False
             for s, frontier in enumerate(frontiers):
                 if not frontier.size:
                     continue
                 eidx = arcs.out_arcs(frontier)
-                eidx = eidx[is_open[0][dst[eidx]]]
+                eidx = eidx[~taken[dst[eidx]]]
                 if not eidx.size:
                     continue
-                sender, target = src[eidx], dst[eidx]
                 ok = rng.random(eidx.size) < logistic(
-                    self.edge_base[s][eidx] + l1 * affect[s][sender])
-                tried[s].append((sender, target, ok))
-                np.add.at(counts[s], target[ok], 1)
+                    self.edge_base[s][eidx] + l1 * affect[s][arcs.src[eidx]])
+                tried[s].append((eidx, ok))
+                reached = dst[eidx[ok]]
+                if reached.size:
+                    np.add.at(counts[s], reached, 1)
+                    hit = True
+            # every agent that qualified earlier has joined a side, so with
+            # no new successful transmission nobody else can qualify
+            if not hit:
+                break
 
-            qual = is_open & (counts > 0) & (base + self.b2eff * counts > 0.0)
-            frontiers = self._adopt(qual, affect, counts, taken[0],
+            qual = (counts > 0) & (base + self.b2eff * counts > 0.0)
+            qual &= ~taken
+            frontiers = self._adopt(qual, affect, counts, taken,
                                     activation_round, r, rng)
-            if not any(map(len, frontiers)):
+            if not any(f.size for f in frontiers):
                 break
 
         results = []
         for s in range(k):
             if tried[s]:
-                senders, targets, oks = zip(*tried[s])
-                attempts = np.column_stack([
-                    np.concatenate(senders), np.concatenate(targets),
-                    np.concatenate(oks).astype(np.int64)])
-                fired = attempts[attempts[:, 2] == 1, :2]
+                eidx, ok = (tried[s][0] if len(tried[s]) == 1
+                            else map(np.concatenate, zip(*tried[s])))
+                attempts = np.empty((eidx.size, 3), dtype=np.int64)
+                attempts[:, 0] = arcs.src[eidx]
+                attempts[:, 1] = dst[eidx]
+                attempts[:, 2] = ok
+                fired = attempts[ok, :2]
             else:
                 attempts = np.empty((0, 3), dtype=np.int64)
                 fired = np.empty((0, 2), dtype=np.int64)
@@ -304,9 +323,11 @@ class CascadeEngine:
                 take_l[tied[coin]] = True
                 take_r[tied[~coin]] = True
             qual = (take_l, take_r)
-        frontiers = [row.nonzero()[0] for row in qual]
-        for frontier, when in zip(frontiers, activation_round):
+        frontiers = []
+        for row, when in zip(qual, activation_round):
+            frontier = row.nonzero()[0]
             if frontier.size:
                 taken[frontier] = True
                 when[frontier] = r
+            frontiers.append(frontier)
         return frontiers

@@ -39,8 +39,7 @@ def logistic(x):
     """Numerically stable sigmoid, scalar or array."""
     x = np.asarray(x, dtype=np.float64)
     ex = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere
-    den = 1.0 + ex
-    out = np.where(x >= 0, 1.0 / den, ex / den)
+    out = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
     if out.ndim == 0:
         return float(out)
     return out

@@ -177,6 +177,8 @@ def test_arcs_list_both_directions_by_sender():
     assert arcs.same_block.tolist() == [True, True, False, False, True, True]
     assert arcs.similarity.tolist() == pytest.approx([1.0, 1.0, 0.2, 0.2, 1.0, 1.0])
     assert arcs.out_arcs(np.array([1, 3])).tolist() == [1, 2, 5]
+    lone = arcs.out_arcs(np.array([1]))
+    assert lone.tolist() == [1, 2] and lone.dtype == np.int64
 
 
 def test_caches_do_not_survive_replace():
