@@ -206,13 +206,6 @@ class CascadeEngine:
             np.zeros(graph.n, dtype=bool) if d.seeding == "random"
             else seed_exposure(graph, d, match=m)
             for d, m in zip(designs, self.matches)])
-        # with no random seeding and no affect noise, affect and the part
-        # of the decision index built from it repeat every run
-        self.fixed_affect = self.fixed_pull = None
-        if not self.random_sides and affect.sigma_u <= 0:
-            self.fixed_affect = (self.affect_base
-                                 + self.fixed_exposure * self.affect_gain)
-            self.fixed_pull = decision.b0 + decision.b1 * self.fixed_affect
         self.unset_round = np.full((len(designs), graph.n), -1, dtype=np.int64)
 
     def run(self, rng: np.random.Generator, max_rounds: int | None = None) -> CascadeResult:
@@ -236,15 +229,11 @@ class CascadeEngine:
         for s in self.random_sides:
             exposure[s] = seed_exposure(graph, self.designs[s], rng,
                                         match=self.matches[s])
-        if self.fixed_affect is not None:
-            affect, pull = self.fixed_affect.copy(), self.fixed_pull
-        else:
-            affect = self.affect_base + exposure * self.affect_gain
-            if self.affect.sigma_u > 0:
-                affect = affect + rng.normal(0.0, self.affect.sigma_u, size=(k, n))
-            pull = dec.b0 + dec.b1 * affect
+        affect = self.affect_base + exposure * self.affect_gain
+        if self.affect.sigma_u > 0:
+            affect += rng.normal(0.0, self.affect.sigma_u, size=(k, n))
         # tau and the decision noise are shared by both sides
-        base = pull - rng.uniform(dec.tau_lo, dec.tau_hi, size=n)
+        base = dec.b0 + dec.b1 * affect - rng.uniform(dec.tau_lo, dec.tau_hi, size=n)
         if dec.sigma_noise > 0:
             base += rng.normal(0.0, dec.sigma_noise, size=n)
 
@@ -289,8 +278,7 @@ class CascadeEngine:
         results = []
         for s in range(k):
             if tried[s]:
-                eidx, ok = (tried[s][0] if len(tried[s]) == 1
-                            else map(np.concatenate, zip(*tried[s])))
+                eidx, ok = map(np.concatenate, zip(*tried[s]))
                 attempts = np.empty((eidx.size, 3), dtype=np.int64)
                 attempts[:, 0] = arcs.src[eidx]
                 attempts[:, 1] = dst[eidx]

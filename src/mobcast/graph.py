@@ -86,8 +86,6 @@ class Arcs:
     def out_arcs(self, senders: np.ndarray) -> np.ndarray:
         """Indices of every arc leaving the (non-empty) `senders`, in
         sender order."""
-        if senders.size == 1:
-            return np.arange(*self.indptr[senders[0]:senders[0] + 2])
         starts = self.indptr[senders]
         counts = self.indptr[senders + 1] - starts
         ends = counts.cumsum()
