@@ -311,11 +311,8 @@ class CascadeEngine:
                 take_l[tied[coin]] = True
                 take_r[tied[~coin]] = True
             qual = (take_l, take_r)
-        frontiers = []
-        for row, when in zip(qual, activation_round):
-            frontier = row.nonzero()[0]
-            if frontier.size:
-                taken[frontier] = True
-                when[frontier] = r
-            frontiers.append(frontier)
+        frontiers = [row.nonzero()[0] for row in qual]
+        for frontier, when in zip(frontiers, activation_round):
+            taken[frontier] = True
+            when[frontier] = r
         return frontiers

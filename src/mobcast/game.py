@@ -70,9 +70,6 @@ class JointCascadeResult:
     polarization: float
     rounds_run: int
 
-    def side_match(self, side: str) -> np.ndarray:
-        return self.match_left if side == "L" else self.match_right
-
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -118,11 +115,12 @@ def payoff(player: PlayerConfig, graph: SocialGraph,
            delta_u: float = 0.06) -> float:
     """One side's payoff for one joint outcome."""
     player.validate()
-    mine = joint.adoption == (1 if player.side == "L" else 2)
+    left = player.side == "L"
+    mine = joint.adoption == (1 if left else 2)
+    match = joint.match_left if left else joint.match_right
     w1, w2, w3 = player.weights
     return w1 * cohesion(graph, mine) + w2 * participation(graph, mine) \
-        + w3 * sway(joint.side_match(player.side), mine, delta_u) \
-        - kappa * joint.polarization
+        + w3 * sway(match, mine, delta_u) - kappa * joint.polarization
 
 
 def players_from_scenario(scenario: Scenario) -> tuple[PlayerConfig, PlayerConfig]:
@@ -197,10 +195,6 @@ def payoff_matrices(scenario: Scenario, left_player: PlayerConfig,
     return pay_l, pay_r
 
 
-def _first_argmax(values: np.ndarray) -> int:
-    return int(np.argmax(values))
-
-
 def best_response_dynamics(scenario: Scenario,
                            players: tuple[PlayerConfig, PlayerConfig] | None = None,
                            reps: int | None = None,
@@ -228,8 +222,8 @@ def best_response_dynamics(scenario: Scenario,
     seen = {(i, j)}
     kind = "cycle"
     for _ in range(max_iters):
-        ni = _first_argmax(pay_l[:, j])
-        nj = _first_argmax(pay_r[ni, :])
+        ni = int(np.argmax(pay_l[:, j]))
+        nj = int(np.argmax(pay_r[ni, :]))
         if (ni, nj) == (i, j):
             kind = "pure_nash"
             break
