@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("simulate", "optimize", "game") and args.jobs < 1:
+        if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         scenario = _load(args)
         os.makedirs(args.out, exist_ok=True)

@@ -166,10 +166,12 @@ def _eval_row(args) -> EvalRow:
 def optimize(scenario: Scenario, space: DesignSpace | None = None,
              costs: CostModel | None = None, budget: float | None = None,
              toxicity_limit: float | None = None, reps: int | None = None,
-             master_seed: int | None = None, jobs: int = 1) -> OptimizeReport:
+             master_seed: int | None = None, jobs: int = 1,
+             graph: SocialGraph | None = None) -> OptimizeReport:
     """Exhaustive search of the design grid under budget and toxicity
     constraints. Ties on mean score break toward lower cost, then toward
-    the lexicographically smaller design record."""
+    the lexicographically smaller design record. `graph` defaults to the
+    scenario graph for `master_seed`."""
     space = scenario.space if space is None else space
     costs = scenario.costs if costs is None else costs
     budget = space.budget if budget is None else budget
@@ -177,7 +179,8 @@ def optimize(scenario: Scenario, space: DesignSpace | None = None,
     reps = scenario.reps if reps is None else reps
     master_seed = scenario.master_seed if master_seed is None else master_seed
 
-    graph = scenario_graph(scenario, master_seed)
+    if graph is None:
+        graph = scenario_graph(scenario, master_seed)
     designs = enumerate_designs(space, graph)
 
     tasks = []

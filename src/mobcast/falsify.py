@@ -413,13 +413,13 @@ def test_h0_ethics(spec: HypothesisSpec) -> TestReport:
     seed = spec.seed()
     space = spec.space if spec.space is not None else scenario.space
 
+    graph = scenario_graph(scenario, seed)
     unconstrained = optimize(scenario, space=space, toxicity_limit=1.0,
-                             reps=spec.reps, master_seed=seed)
+                             reps=spec.reps, master_seed=seed, graph=graph)
     constrained = optimize(scenario, space=space,
                            toxicity_limit=spec.constrained_limit,
-                           reps=spec.reps, master_seed=seed)
+                           reps=spec.reps, master_seed=seed, graph=graph)
 
-    graph = scenario_graph(scenario, seed)
     evals = {}
     for label, report in (("unconstrained", unconstrained),
                           ("constrained", constrained)):

@@ -5,6 +5,11 @@ Edges are sampled independently per unordered pair with probability p_in
 inside a block and p_out across blocks, so block structure and identity
 similarity move together: block centers are spread out in identity space
 and members scatter tightly around their center.
+
+The pair coins are drawn in row-major chunks of 2**20 pairs, in the
+same order and from the same bits as one draw over the whole upper
+triangle, so sampling holds O(chunk + m) memory instead of O(n^2); it
+still draws O(n^2) uniforms.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ __all__ = [
     "save_edge_list",
     "load_edge_list",
 ]
+
+# unordered pairs per chunk of pair coins: 8 MB of uniforms
+_PAIR_CHUNK = 1 << 20
 
 CONTEXT_PRESETS = {
     # organizational context c_i ~ U[lo, hi]
@@ -187,24 +195,49 @@ def block_centers(n_blocks: int, dim: int) -> np.ndarray:
     return centers
 
 
+def _pair_coins(block: np.ndarray, p_in: float, p_out: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """One uniform per unordered pair i < j in row-major order; the pair is
+    an edge when its uniform is below p_in (same block) or p_out.
+
+    The pairs are walked in chunks of _PAIR_CHUNK. Generator.random spends
+    one 64-bit word per double and buffers nothing, so the chunks consume
+    exactly the bits one call over all pairs would, and the edges and the
+    generator state afterwards are the same. Only uniforms below
+    max(p_in, p_out) are decoded to (i, j) through the row offsets.
+    """
+    n = block.shape[0]
+    # row i holds pairs (i, i+1) .. (i, n-1); offsets[i] is its first pair
+    offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=offsets[1:])
+    n_pairs = n * (n - 1) // 2
+    p_max = max(p_in, p_out)
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for start in range(0, n_pairs, _PAIR_CHUNK):
+        u = rng.random(min(_PAIR_CHUNK, n_pairs - start))
+        hit = np.flatnonzero(u < p_max)
+        k = hit + start
+        i = np.searchsorted(offsets, k, side="right") - 1
+        j = k - offsets[i] + i + 1
+        keep = u[hit] < np.where(block[i] == block[j], p_in, p_out)
+        parts.append(np.column_stack([i[keep], j[keep]]))
+    return np.concatenate(parts)
+
+
 def generate_network(config: GraphConfig, rng: np.random.Generator) -> SocialGraph:
     """Sample one network.
 
     Draw order is fixed for reproducibility: pair coins, identity noise,
     context. Blocks are contiguous, near-equal slices of the id range.
+    The pair coins are one uniform per unordered pair in row-major order
+    (i, then j > i), drawn in chunks of 2**20 pairs, so memory is
+    O(chunk + m) while time stays O(n^2) uniforms.
     """
     config.validate()
     n, k = config.n, config.n_blocks
     block = (np.arange(n, dtype=np.int64) * k) // n
 
-    if n >= 2:
-        iu, ju = np.triu_indices(n, 1)
-        same = block[iu] == block[ju]
-        probs = np.where(same, config.p_in, config.p_out)
-        keep = rng.random(iu.shape[0]) < probs
-        edges = np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    edges = _pair_coins(block, config.p_in, config.p_out, rng)
 
     centers = block_centers(k, config.identity_dim)
     noise = rng.uniform(-config.identity_spread, config.identity_spread,

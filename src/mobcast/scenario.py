@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 import types
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -54,6 +55,11 @@ class CostModel:
     song: float = 3.0
     mural: float = 5.0
     per_seed: float = 0.25
+
+    def validate(self) -> None:
+        for f in fields(self):
+            if not getattr(self, f.name) >= 0.0:
+                raise ScenarioError(f"cost {f.name} must be >= 0")
 
     def format_cost(self, fmt: str) -> float:
         return {"meme": self.meme, "theatre": self.theatre,
@@ -159,6 +165,7 @@ class Scenario:
         self.measurement.validate()
         self.decision.validate()
         self.impact.validate()
+        self.costs.validate()
         self.design.validate(self.graph.identity_dim)
         self.space.validate()
         self.game.validate()
@@ -219,7 +226,10 @@ def _parse_value(text: str, hint, where: str):
         if hint is int:
             return int(text)
         if hint is float:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(text)
+            return value
         if hint is str:
             return text
     except ValueError as exc:

@@ -4,7 +4,9 @@ The cascade enumerator here deliberately shares no code with the engine:
 it walks every branch of the process tree (per-edge transmission coins,
 per-agent threshold crossings) and integrates the continuous threshold
 analytically, so tiny graphs get exact activation distributions to hold
-the Monte-Carlo engine against.
+the Monte-Carlo engine against. The dense pair-coin sampler is the
+graph generator's original one-call form, kept to hold the chunked
+sampler to the same edges and the same generator state.
 """
 
 from __future__ import annotations
@@ -306,3 +308,16 @@ def enumeration_corpus() -> list[tuple]:
     dense clique with multi-source influence, hub with hard uniform
     thresholds). isolate3 is a fifth fixture used by the unit tests."""
     return [_pair(), _path3(), _clique4(), _star4()]
+
+
+def dense_pair_coins(block: np.ndarray, p_in: float, p_out: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One rng.random call over the whole upper triangle (O(n^2) memory)."""
+    n = block.shape[0]
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    iu, ju = np.triu_indices(n, 1)
+    same = block[iu] == block[ju]
+    probs = np.where(same, p_in, p_out)
+    keep = rng.random(iu.shape[0]) < probs
+    return np.column_stack([iu[keep], ju[keep]]).astype(np.int64)

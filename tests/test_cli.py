@@ -193,13 +193,30 @@ def test_calibrate_outputs(scenario_file, tmp_path):
     assert len(payload["calibration"]) == 5
 
 
-@pytest.mark.parametrize("command", ["simulate", "optimize", "game"])
+@pytest.mark.parametrize("command", ["generate", "simulate", "optimize",
+                                     "game", "falsify", "estimate",
+                                     "calibrate"])
 def test_jobs_below_one_is_rejected(scenario_file, tmp_path, capsys, command):
     path, _ = scenario_file
     assert main([command, "--scenario", path, "--out", str(tmp_path),
                  "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("section, line", [
+    ("affect", "a1 = nan"),
+    ("transmission", "l0 = inf"),
+    ("costs", "meme = -5"),
+])
+def test_simulate_rejects_non_finite_and_negative_input(tmp_path, capsys,
+                                                        section, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[scenario]\nmaster_seed = 1\n\n[{section}]\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_stamps_the_scenario_it_ran(scenario_file, tmp_path):

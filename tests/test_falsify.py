@@ -100,6 +100,13 @@ def test_null_mode_produces_flat_contrast():
     assert abs(null.statistic) < abs(effect.statistic)
 
 
+def test_ethics_samples_the_scenario_graph_once(graph_samples):
+    run_test(make_spec("H0_ethics", reps=30))
+    assert len(graph_samples) == 1
+    calibrate(make_spec("H0_ethics", reps=30), meta_reps=2)
+    assert len(graph_samples) == 3
+
+
 def test_calibrate_smoke():
     report = calibrate(make_spec("H0_context"), meta_reps=3)
     assert report.meta_reps == 3

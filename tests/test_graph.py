@@ -1,10 +1,13 @@
-"""Network generator tests: block layout, homophily, persistence."""
+"""Network generator tests: block layout, homophily, persistence, and the
+chunked pair-coin sampler against its dense reference."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mobcast.graph
 from mobcast.graph import (
     GraphConfig,
     GraphError,
@@ -20,6 +23,7 @@ from mobcast.graph import (
     structure_summary,
 )
 from mobcast.scenario import derive_stream
+from oracles import dense_pair_coins
 
 
 def small_config(**overrides):
@@ -104,6 +108,49 @@ def test_extreme_mixing_rates():
     assert homophily_index(g) == 1.0
     same = g.block[g.edges[:, 0]] == g.block[g.edges[:, 1]]
     assert same.all()
+
+
+@pytest.mark.parametrize("n, n_blocks, p_in, p_out, chunk", [
+    (1, 1, 0.5, 0.5, None),
+    (2, 1, 1.0, 1.0, None),
+    (2, 2, 0.0, 0.0, None),
+    (3, 3, 0.2, 0.9, None),
+    (50, 50, 0.3, 0.3, 97),
+    (50, 5, 0.1, 0.6, 97),
+    (50, 1, 1.0, 1.0, 97),
+    (50, 5, 0.0, 1.0, 97),
+    (3000, 4, 0.05, 0.001, None),  # 4,498,500 pairs: five full-size chunks
+])
+def test_chunked_pair_coins_match_dense_reference(monkeypatch, n, n_blocks,
+                                                  p_in, p_out, chunk):
+    cfg = GraphConfig(n=n, n_blocks=n_blocks, p_in=p_in, p_out=p_out)
+    if chunk is not None:
+        monkeypatch.setattr(mobcast.graph, "_PAIR_CHUNK", chunk)
+    rng = derive_stream(13, n, "graph")
+    g = generate_network(cfg, rng)
+    monkeypatch.setattr(mobcast.graph, "_pair_coins", dense_pair_coins)
+    ref_rng = derive_stream(13, n, "graph")
+    ref = generate_network(cfg, ref_rng)
+    assert g.edges.dtype == ref.edges.dtype and g.edges.shape == ref.edges.shape
+    assert np.array_equal(g.edges, ref.edges)
+    assert np.array_equal(g.identity, ref.identity)
+    assert np.array_equal(g.context, ref.context)
+    assert rng.random() == ref_rng.random()
+
+
+def test_pair_coins_memory_stays_far_below_dense_footprint():
+    # the scale-n10k benchmark graph: the dense sampler's index, block and
+    # probability arrays over 5e7 pairs take about 1.6 GB
+    cfg = GraphConfig(n=10_000, n_blocks=4, p_in=14.85 / 2499,
+                      p_out=1.5 / 7500, identity_dim=1)
+    tracemalloc.start()
+    try:
+        g = generate_network(cfg, derive_stream(11, "graph"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges > 0
+    assert peak < 100 * 2 ** 20
 
 
 def test_identity_similarity_values():

@@ -7,6 +7,7 @@ import pytest
 
 from mobcast.scenario import (
     PRESET_NAMES,
+    CostModel,
     Scenario,
     ScenarioError,
     ama_default,
@@ -125,6 +126,10 @@ def test_scenario_validation():
         replace(ama_default(), master_seed=-1).validate()
     with pytest.raises(ScenarioError):
         replace(ama_default(), max_rounds=0).validate()
+    with pytest.raises(ScenarioError):
+        replace(ama_default(), costs=CostModel(per_seed=-0.25)).validate()
+    with pytest.raises(ScenarioError):
+        replace(ama_default(), costs=CostModel(mural=float("nan"))).validate()
 
 
 def test_scenario_text_is_deterministic():
