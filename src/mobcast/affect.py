@@ -10,6 +10,7 @@ load on that latent response with item noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,17 @@ SEEDING_STRATEGIES = ("random", "top_degree", "top_matching")
 
 class DesignError(ValueError):
     pass
+
+
+def require_finite(params) -> None:
+    """Raise DesignError if a float field of the dataclass params, or a
+    float inside a tuple field, is NaN or infinite. Range checks alone
+    let NaN through, since every comparison with NaN is false."""
+    for name, value in vars(params).items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                where = f"{type(params).__name__}.{name}"
+                raise DesignError(f"{where} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -90,6 +102,7 @@ class AffectParams:
     sigma_u: float = 0.005
 
     def validate(self) -> None:
+        require_finite(self)
         if self.sigma_u < 0:
             raise DesignError("sigma_u must be >= 0")
 
@@ -103,6 +116,7 @@ class MeasurementParams:
     sigma_eps: float = 0.4
 
     def validate(self) -> None:
+        require_finite(self)
         if len(self.loadings) != len(self.intercepts):
             raise DesignError("loadings and intercepts must have equal length")
         if len(self.loadings) < 1:

@@ -26,8 +26,7 @@ from .design import optimize, scenario_graph
 from .diffusion import CascadeEngine
 from .estimate import (build_panel, factor_scores, fit_activation,
                        fit_affect_ols, fit_edge_transmission,
-                       implied_affect_coefficients, read_panel_csv,
-                       write_panel_csv)
+                       implied_affect_coefficients, write_panel_csv)
 from .falsify import (HYPOTHESES, HypothesisSpec, calibrate,
                       calibration_scenario, run_test)
 from .game import best_response_dynamics, players_from_scenario
@@ -318,8 +317,12 @@ def run_falsify(scenario: Scenario, out_dir: str, reps: int | None = None,
 
 def run_estimate(scenario: Scenario, out_dir: str,
                  reps: int | None = None) -> dict:
-    """Simulate a two-format panel, persist it as CSV, read it back, and
-    fit every estimator on the file contents.
+    """Simulate a two-format panel, persist it as CSV, and fit every
+    estimator on the in-memory panel.
+
+    The CSVs reproduce that panel bit for bit (read_panel_csv gives back
+    every array with the same dtype and bytes; the round-trip tests hold
+    it to that), so refitting from the files gives the same fits.
 
     The panel arms override the campaign's seeding with a randomized,
     balanced exposure: deterministic top-matching seeding makes exposure
@@ -341,7 +344,6 @@ def run_estimate(scenario: Scenario, out_dir: str,
     _announce(agents_path)
     _announce(edges_path)
 
-    panel = read_panel_csv(agents_path, edges_path)
     fits = {}
     fits["affect_ols_oracle"] = fit_affect_ols(
         panel.affect, panel.exposure, panel.matching, panel.context)
@@ -431,10 +433,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override master_seed")
         p.add_argument("--reps", type=int, help="override replication count")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--trace", action="store_true",
-                       help="also write the per-agent trace CSV (simulate)")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes (results are identical)")
+        if name == "simulate":
+            p.add_argument("--trace", action="store_true",
+                           help="also write the per-agent trace CSV")
         if name == "falsify":
             p.add_argument("--alpha", type=float, default=0.05)
             p.add_argument("--null", action="store_true",
@@ -452,6 +455,9 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.jobs > 1 and args.command == "generate":
+            raise ValueError("generate runs in one process; "
+                             f"--jobs must be 1, got {args.jobs}")
         scenario = _load(args)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "generate":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affect import (PARTICIPATORY_FORMATS, AffectParams, Design,
-                     DesignError, matching_vector)
+                     DesignError, matching_vector, require_finite)
 from .graph import SocialGraph
 from .stats import logistic
 
@@ -58,6 +58,7 @@ class DecisionParams:
     cnr_boost: float = 4.6
 
     def validate(self) -> None:
+        require_finite(self)
         if self.tau_lo > self.tau_hi:
             raise DesignError("tau_lo must be <= tau_hi")
         if self.sigma_noise < 0:
@@ -76,6 +77,9 @@ class TransmissionParams:
     l2: float = 2.75
     l3: float = 2.0
     l4_tox: float = 0.8
+
+    def validate(self) -> None:
+        require_finite(self)
 
 
 @dataclass
@@ -175,6 +179,7 @@ class CascadeEngine:
             raise DesignError("a cascade takes one or two designs")
         affect.validate()
         decision.validate()
+        transmission.validate()
         for design in designs:
             design.validate(graph.identity_dim)
         self.graph = graph

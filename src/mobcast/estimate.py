@@ -470,16 +470,24 @@ _AGENT_HEADER = ("arm", "rep", "agent", "exposure", "affect", "matching",
                  "context", "decision", "influence")
 _EDGE_HEADER = ("arm", "rep", "sender", "target", "sender_affect",
                 "similarity", "meme", "same_block", "success")
-_INT_COLS = {"arm", "rep", "agent", "exposure", "decision", "influence",
-             "sender", "target", "meme", "same_block", "success"}
+# rows formatted per writelines call; bounds the per-chunk Python lists
+_PANEL_CHUNK = 1 << 16
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _write_rows(fh, fmt: str, cols: list[np.ndarray]) -> None:
+    """Write zip(*cols) through one %-format, _PANEL_CHUNK rows at a time.
+    %d and %.17g give the same text as str(int(v)) and format(v, ".17g")."""
+    n = cols[0].shape[0]
+    for start in range(0, n, _PANEL_CHUNK):
+        stop = start + _PANEL_CHUNK
+        fh.writelines([fmt % row for row in
+                       zip(*[c[start:stop].tolist() for c in cols])])
 
 
 def write_panel_csv(panel: PanelData, agents_path: str, edges_path: str,
                     meta: dict[str, str] | None = None) -> None:
+    """Write the panel as two CSV files; %.17g round-trips every double,
+    so read_panel_csv gives back the same arrays bit for bit."""
     meta_line = ""
     if meta:
         meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
@@ -489,24 +497,19 @@ def write_panel_csv(panel: PanelData, agents_path: str, edges_path: str,
         item_names = [f"y{k + 1}" for k in range(n_items)]
         fh.write(",".join(list(_AGENT_HEADER[:3]) + item_names
                           + list(_AGENT_HEADER[3:])) + "\n")
-        for i in range(panel.n_agent_rows()):
-            row = [str(int(panel.arm[i])), str(int(panel.rep[i])),
-                   str(int(panel.agent[i]))]
-            row += [_fmt(panel.items[i, k]) for k in range(n_items)]
-            row += [str(int(panel.exposure[i])), _fmt(panel.affect[i]),
-                    _fmt(panel.matching[i]), _fmt(panel.context[i]),
-                    str(int(panel.decision[i])), str(int(panel.influence[i]))]
-            fh.write(",".join(row) + "\n")
+        fmt = ",".join(["%d"] * 3 + ["%.17g"] * n_items
+                       + ["%d", "%.17g", "%.17g", "%.17g", "%d", "%d"]) + "\n"
+        _write_rows(fh, fmt, [panel.arm, panel.rep, panel.agent]
+                    + [panel.items[:, k] for k in range(n_items)]
+                    + [panel.exposure, panel.affect, panel.matching,
+                       panel.context, panel.decision, panel.influence])
     with open(edges_path, "w", encoding="utf-8") as fh:
         fh.write(meta_line)
         fh.write(",".join(_EDGE_HEADER) + "\n")
-        for i in range(panel.n_edge_rows()):
-            fh.write(",".join([
-                str(int(panel.edge_arm[i])), str(int(panel.edge_rep[i])),
-                str(int(panel.sender[i])), str(int(panel.target[i])),
-                _fmt(panel.sender_affect[i]), _fmt(panel.similarity[i]),
-                str(int(panel.meme[i])), str(int(panel.same_block[i])),
-                str(int(panel.success[i]))]) + "\n")
+        _write_rows(fh, "%d,%d,%d,%d,%.17g,%.17g,%d,%d,%d\n", [
+            panel.edge_arm, panel.edge_rep, panel.sender, panel.target,
+            panel.sender_affect, panel.similarity, panel.meme,
+            panel.same_block, panel.success])
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:

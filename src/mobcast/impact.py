@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affect import Design, DesignError, matching_vector
+from .affect import Design, DesignError, matching_vector, require_finite
 from .diffusion import CascadeResult
 from .graph import SocialGraph
 
@@ -49,6 +49,7 @@ class ImpactWeights:
     delta_u: float = 0.2
 
     def validate(self) -> None:
+        require_finite(self)
         if self.delta_u < 0:
             raise DesignError("delta_u must be >= 0")
 

@@ -164,6 +164,7 @@ class Scenario:
         self.affect.validate()
         self.measurement.validate()
         self.decision.validate()
+        self.transmission.validate()
         self.impact.validate()
         self.costs.validate()
         self.design.validate(self.graph.identity_dim)

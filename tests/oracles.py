@@ -6,7 +6,9 @@ per-agent threshold crossings) and integrates the continuous threshold
 analytically, so tiny graphs get exact activation distributions to hold
 the Monte-Carlo engine against. The dense pair-coin sampler is the
 graph generator's original one-call form, kept to hold the chunked
-sampler to the same edges and the same generator state.
+sampler to the same edges and the same generator state. The row panel
+writer is the panel CSV writer's original one-row-at-a-time form, kept
+to hold the chunked column-wise writer to the same bytes.
 """
 
 from __future__ import annotations
@@ -321,3 +323,41 @@ def dense_pair_coins(block: np.ndarray, p_in: float, p_out: float,
     probs = np.where(same, p_in, p_out)
     keep = rng.random(iu.shape[0]) < probs
     return np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
+
+
+def row_panel_csv(panel, agents_path: str, edges_path: str,
+                  meta: dict[str, str] | None = None) -> None:
+    """write_panel_csv one row at a time, each cell through str(int(v))
+    or format(float(v), ".17g")."""
+    def fmt(value) -> str:
+        return format(float(value), ".17g")
+
+    meta_line = ""
+    if meta:
+        meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
+    n_items = panel.items.shape[1]
+    with open(agents_path, "w", encoding="utf-8") as fh:
+        fh.write(meta_line)
+        fh.write(",".join(["arm", "rep", "agent"]
+                          + [f"y{k + 1}" for k in range(n_items)]
+                          + ["exposure", "affect", "matching", "context",
+                             "decision", "influence"]) + "\n")
+        for i in range(panel.n_agent_rows()):
+            row = [str(int(panel.arm[i])), str(int(panel.rep[i])),
+                   str(int(panel.agent[i]))]
+            row += [fmt(panel.items[i, k]) for k in range(n_items)]
+            row += [str(int(panel.exposure[i])), fmt(panel.affect[i]),
+                    fmt(panel.matching[i]), fmt(panel.context[i]),
+                    str(int(panel.decision[i])), str(int(panel.influence[i]))]
+            fh.write(",".join(row) + "\n")
+    with open(edges_path, "w", encoding="utf-8") as fh:
+        fh.write(meta_line)
+        fh.write("arm,rep,sender,target,sender_affect,similarity,meme,"
+                 "same_block,success\n")
+        for i in range(panel.n_edge_rows()):
+            fh.write(",".join([
+                str(int(panel.edge_arm[i])), str(int(panel.edge_rep[i])),
+                str(int(panel.sender[i])), str(int(panel.target[i])),
+                fmt(panel.sender_affect[i]), fmt(panel.similarity[i]),
+                str(int(panel.meme[i])), str(int(panel.same_block[i])),
+                str(int(panel.success[i]))]) + "\n")

@@ -11,7 +11,9 @@ from dataclasses import replace
 
 import pytest
 
-from mobcast.cli import IMPACT_COLUMNS, TRACE_COLUMNS, main
+from mobcast.cli import IMPACT_COLUMNS, TRACE_COLUMNS, _jsonable, main
+from mobcast.estimate import (factor_scores, fit_activation, fit_affect_ols,
+                              fit_edge_transmission, read_panel_csv)
 from mobcast.falsify import calibration_scenario
 from mobcast.graph import GraphConfig, load_edge_list
 from mobcast.scenario import (
@@ -181,6 +183,28 @@ def test_estimate_outputs(scenario_file, tmp_path):
     assert len(est["factor_loadings"]) == 5
 
 
+def test_estimate_fits_refit_from_its_csvs(scenario_file, tmp_path):
+    """estimate fits the in-memory panel; its two CSVs must be enough to
+    refit and get the very same numbers."""
+    path, _ = scenario_file
+    assert main(["estimate", "--scenario", path, "--out", str(tmp_path),
+                 "--reps", "2"]) == 0
+    panel = read_panel_csv(str(tmp_path / "panel_agents.csv"),
+                           str(tmp_path / "panel_edges.csv"))
+    scores, loadings, _, _ = factor_scores(panel.items)
+    refit = {
+        "affect_ols_oracle": fit_affect_ols(
+            panel.affect, panel.exposure, panel.matching, panel.context),
+        "affect_ols_measurement": fit_affect_ols(
+            scores, panel.exposure, panel.matching, panel.context),
+        "activation_oracle": fit_activation(panel, mode="oracle"),
+        "edge_transmission": fit_edge_transmission(panel),
+    }
+    est = json.loads((tmp_path / "estimate.json").read_text())
+    assert json.loads(json.dumps(_jsonable(refit))) == est["fits"]
+    assert list(loadings) == est["factor_loadings"]
+
+
 def test_calibrate_outputs(scenario_file, tmp_path):
     path, _ = scenario_file
     assert main(["calibrate", "--scenario", path, "--out", str(tmp_path),
@@ -202,6 +226,31 @@ def test_jobs_below_one_is_rejected(scenario_file, tmp_path, capsys, command):
                  "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize", "game",
+                                     "falsify", "estimate", "calibrate"])
+def test_trace_is_a_simulate_only_flag(scenario_file, tmp_path, capsys,
+                                       command):
+    path, _ = scenario_file
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", path, "--out", str(tmp_path),
+              "--trace"])
+    assert exc.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_generate_rejects_parallel_jobs(scenario_file, tmp_path, capsys):
+    path, _ = scenario_file
+    out = tmp_path / "two"
+    assert main(["generate", "--scenario", path, "--out", str(out),
+                 "--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+    one = tmp_path / "one"
+    assert main(["generate", "--scenario", path, "--out", str(one),
+                 "--jobs", "1"]) == 0
 
 
 @pytest.mark.parametrize("section, line", [

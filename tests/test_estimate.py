@@ -5,17 +5,19 @@ meta-replications) live in the acceptance suite; these tests pin the
 numerics on small synthetic data.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import mobcast.estimate
 from mobcast.affect import Design
 from mobcast.diffusion import seed_count
 from mobcast.estimate import (
     AFFECT_TERMS,
     EstimateError,
     FitResult,
+    PanelData,
     activation_matrix,
     affect_design_matrix,
     build_panel,
@@ -34,6 +36,7 @@ from mobcast.estimate import (
 from mobcast.graph import GraphConfig
 from mobcast.scenario import ama_default, derive_stream
 from mobcast.stats import logistic
+from oracles import row_panel_csv
 
 
 def panel_scenario(**graph_overrides):
@@ -247,16 +250,72 @@ def test_panel_csv_round_trip(tmp_path):
     ep = str(tmp_path / "edges.csv")
     write_panel_csv(panel, ap, ep, meta={"scenario": "panel-fixture"})
     back = read_panel_csv(ap, ep)
-    assert np.array_equal(back.arm, panel.arm)
-    assert np.array_equal(back.agent, panel.agent)
-    assert np.array_equal(back.exposure, panel.exposure)
-    assert np.array_equal(back.decision, panel.decision)
-    assert np.array_equal(back.influence, panel.influence)
-    assert np.array_equal(back.affect, panel.affect)
-    assert np.array_equal(back.items, panel.items)
-    assert np.array_equal(back.sender, panel.sender)
-    assert np.array_equal(back.sender_affect, panel.sender_affect)
-    assert np.array_equal(back.success, panel.success)
+    names = [f.name for f in fields(PanelData) if f.name != "designs"]
+    assert len(names) == 19
+    for name in names:
+        want, got = getattr(panel, name), getattr(back, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
     with open(ap) as fh:
         first = fh.readline()
     assert first.startswith("# scenario=panel-fixture")
+
+
+def synthetic_panel(rows=23, edges=31, n_items=3, seed=5):
+    rng = np.random.default_rng(seed)
+
+    def ints(k, hi):
+        return rng.integers(0, hi, size=k, dtype=np.int64)
+
+    return PanelData(
+        arm=ints(rows, 2), rep=ints(rows, 1000), agent=ints(rows, 10**6),
+        items=rng.normal(size=(rows, n_items)), exposure=ints(rows, 2),
+        affect=rng.normal(size=rows) * 1e3, matching=rng.random(rows),
+        context=rng.random(rows), decision=ints(rows, 2),
+        influence=ints(rows, 7), edge_arm=ints(edges, 2),
+        edge_rep=ints(edges, 1000), sender=ints(edges, 10**6),
+        target=ints(edges, 10**6), sender_affect=rng.normal(size=edges),
+        similarity=rng.random(edges) * 1e-7, meme=ints(edges, 2),
+        same_block=ints(edges, 2), success=ints(edges, 2))
+
+
+def assert_same_files_as_row_oracle(tmp_path, panel, meta):
+    new = (str(tmp_path / "a.csv"), str(tmp_path / "e.csv"))
+    old = (str(tmp_path / "a_row.csv"), str(tmp_path / "e_row.csv"))
+    write_panel_csv(panel, *new, meta=meta)
+    row_panel_csv(panel, *old, meta=meta)
+    for got, want in zip(new, old):
+        with open(got, "rb") as g, open(want, "rb") as w:
+            assert g.read() == w.read(), got
+
+
+@pytest.mark.parametrize("meta", [{"scenario": "panel-fixture",
+                                   "master_seed": "808"}, None])
+@pytest.mark.parametrize("chunk", [7, None])
+def test_panel_writer_matches_row_oracle(tmp_path, monkeypatch, meta, chunk):
+    panel = build_panel(panel_scenario(n=80))
+    if chunk is not None:
+        monkeypatch.setattr(mobcast.estimate, "_PANEL_CHUNK", chunk)
+        # chunks break mid-panel in both files
+        assert panel.n_agent_rows() % chunk and panel.n_edge_rows() % chunk
+        assert panel.n_edge_rows() > chunk
+    assert_same_files_as_row_oracle(tmp_path, panel, meta)
+
+
+@pytest.mark.parametrize("case", ["no_edges", "one_item", "special_floats"])
+def test_panel_writer_edge_cases_match_row_oracle(tmp_path, monkeypatch,
+                                                  case):
+    monkeypatch.setattr(mobcast.estimate, "_PANEL_CHUNK", 5)
+    if case == "no_edges":
+        panel = synthetic_panel(edges=0)
+    elif case == "one_item":
+        panel = synthetic_panel(n_items=1)
+    else:
+        panel = synthetic_panel()
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300,
+                   -1e-300, 1e16, 0.1]
+        panel.affect[:len(special)] = special
+        panel.items[-len(special):, 1] = special
+        panel.sender_affect[3:3 + len(special)] = special
+    assert_same_files_as_row_oracle(tmp_path, panel, {"scenario": "x"})

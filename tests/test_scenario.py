@@ -5,6 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mobcast.affect import AffectParams, MeasurementParams
+from mobcast.diffusion import DecisionParams, TransmissionParams
+from mobcast.impact import ImpactWeights
 from mobcast.scenario import (
     PRESET_NAMES,
     CostModel,
@@ -104,6 +107,8 @@ def test_presets():
     frag = preset_scenario("ama-fragmented")
     assert frag.graph.context == "fragmented"
     assert frag.name == "ama-fragmented"
+    for name in PRESET_NAMES:
+        preset_scenario(name).validate()
     with pytest.raises(ScenarioError):
         preset_scenario("ama-classic")
 
@@ -130,6 +135,27 @@ def test_scenario_validation():
         replace(ama_default(), costs=CostModel(per_seed=-0.25)).validate()
     with pytest.raises(ScenarioError):
         replace(ama_default(), costs=CostModel(mural=float("nan"))).validate()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section, params", [
+    ("transmission", TransmissionParams(l0=NAN)),
+    ("transmission", TransmissionParams(l4_tox=-INF)),
+    ("affect", AffectParams(a1=NAN)),
+    ("affect", AffectParams(sigma_u=NAN)),
+    ("decision", DecisionParams(b1=INF)),
+    ("decision", DecisionParams(sigma_noise=NAN)),
+    ("measurement", MeasurementParams(loadings=(1.0, NAN, 0.7, 0.9, 0.75))),
+    ("measurement", MeasurementParams(intercepts=(0.0, 0.0, 0.0, 0.0, INF))),
+    ("impact", ImpactWeights(kappa=NAN)),
+])
+def test_non_finite_parameters_fail_validation(section, params):
+    with pytest.raises(ValueError, match="must be finite"):
+        params.validate()
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(ama_default(), **{section: params}).validate()
 
 
 def test_scenario_text_is_deterministic():
