@@ -3,10 +3,16 @@
 Subcommands: generate, simulate, optimize, game, falsify, estimate,
 calibrate. Every output file embeds the scenario hash and the master
 seed (CSV files as a leading comment line, JSON files as top-level
-fields), floats are written at 17 significant digits, and all work is
-split across --jobs with per-replication derived streams and reduced in
-replication order, so byte-identical outputs do not depend on the
-worker count.
+fields), and floats are written at 17 significant digits.
+
+simulate, optimize, game, falsify and calibrate split their work across
+--jobs worker processes, one spawn pool per invocation: simulate its
+replications, optimize and game their grid cells, falsify the ethics
+test's design grid, and calibrate every meta-replication of every
+hypothesis. Each unit of work draws from its own derived stream and the
+results are reduced in order, so the output bytes do not depend on the
+worker count. generate rejects --jobs > 1; estimate accepts and ignores
+it. falsify and calibrate report one line per hypothesis on stderr.
 """
 
 from __future__ import annotations
@@ -16,13 +22,13 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from dataclasses import replace
-from multiprocessing import get_context
 
 import numpy as np
 
 from .affect import Design
-from .design import optimize, scenario_graph
+from .design import _worker_map, optimize, scenario_graph
 from .diffusion import CascadeEngine
 from .estimate import (build_panel, factor_scores, fit_activation,
                        fit_affect_ols, fit_edge_transmission,
@@ -145,11 +151,8 @@ def run_simulate(scenario: Scenario, out_dir: str, trace: bool = False,
     a JSON aggregate summary, and optionally the per-agent trace CSV."""
     chunks = _split(scenario.reps, jobs)
     tasks = [(scenario, chunk, trace) for chunk in chunks]
-    if jobs > 1 and len(tasks) > 1:
-        with get_context("spawn").Pool(processes=jobs) as pool:
-            chunk_results = pool.map(_sim_chunk, tasks)
-    else:
-        chunk_results = [_sim_chunk(t) for t in tasks]
+    with _worker_map(jobs) as pool_map:
+        chunk_results = pool_map(_sim_chunk, tasks)
     rows = [item for chunk in chunk_results for item in chunk]
 
     impacts_path = os.path.join(out_dir, "impacts.csv")
@@ -280,15 +283,23 @@ def run_game(scenario: Scenario, out_dir: str, jobs: int = 1):
     return report
 
 
+def _progress(line: str, start: float) -> None:
+    print(f"{line} {time.perf_counter() - start:.1f}s", file=sys.stderr)
+
+
 def run_falsify(scenario: Scenario, out_dir: str, reps: int | None = None,
-                alpha: float = 0.05, null: bool = False) -> list:
+                alpha: float = 0.05, null: bool = False,
+                jobs: int = 1) -> list:
+    """Run the five tests; `jobs` workers score the ethics design grid."""
     reps = scenario.reps if reps is None else reps
     reps = max(30, reps)
     reports = []
     for hid in HYPOTHESES:
         spec = HypothesisSpec(id=hid, scenario=scenario, null=null,
                               reps=reps, alpha=alpha)
-        report = run_test(spec)
+        start = time.perf_counter()
+        report = run_test(spec, jobs=jobs)
+        _progress(f"falsify {hid} reject={int(report.reject)}", start)
         reports.append(report)
         path = os.path.join(out_dir, f"falsify_{hid}.json")
         _write_json(path, scenario, {
@@ -369,15 +380,22 @@ def run_estimate(scenario: Scenario, out_dir: str,
 
 
 def run_calibrate(scenario: Scenario, out_dir: str, meta_reps: int = 400,
-                  alpha: float = 0.05) -> list:
+                  alpha: float = 0.05, jobs: int = 1) -> list:
     """Type-I error rates on calibration_scenario(scenario); the artifacts
-    carry that scenario's name and hash, since it is the one that ran."""
+    carry that scenario's name and hash, since it is the one that ran.
+    Every meta-replication of every hypothesis runs on one pool of `jobs`
+    workers."""
     small = calibration_scenario(scenario)
     reports = []
-    for hid in HYPOTHESES:
-        spec = HypothesisSpec(id=hid, scenario=small, null=True,
-                              reps=small.reps, alpha=alpha)
-        reports.append(calibrate(spec, meta_reps=meta_reps))
+    with _worker_map(jobs) as pool_map:
+        for hid in HYPOTHESES:
+            spec = HypothesisSpec(id=hid, scenario=small, null=True,
+                                  reps=small.reps, alpha=alpha)
+            start = time.perf_counter()
+            rep = calibrate(spec, meta_reps=meta_reps, map_fn=pool_map)
+            _progress(f"calibrate {hid} {meta_reps}/{meta_reps} "
+                      f"rejections={rep.rejections}", start)
+            reports.append(rep)
 
     csv_path = os.path.join(out_dir, "calibration.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -470,12 +488,12 @@ def main(argv=None) -> int:
             run_game(scenario, args.out, jobs=args.jobs)
         elif args.command == "falsify":
             run_falsify(scenario, args.out, reps=args.reps, alpha=args.alpha,
-                        null=args.null)
+                        null=args.null, jobs=args.jobs)
         elif args.command == "estimate":
             run_estimate(scenario, args.out, reps=args.reps)
         elif args.command == "calibrate":
             run_calibrate(scenario, args.out, meta_reps=args.meta_reps,
-                          alpha=args.alpha)
+                          alpha=args.alpha, jobs=args.jobs)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,8 @@ returns the feasible design with the highest mean composite score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .affect import Design, DesignError
@@ -64,6 +65,32 @@ class OptimizeReport:
     reps: int
     master_seed: int
     table: tuple[EvalRow, ...]
+
+    def best_under(self, budget: float,
+                   toxicity_limit: float) -> "OptimizeReport":
+        """The report `optimize` gives under `budget` and `toxicity_limit`,
+        picked again from this table without scoring anything: rows
+        outside the new constraints become infeasible, and the best
+        remaining row is chosen with the same key as `optimize`.
+
+        Rows are scored per design under common random numbers, so a row
+        does not depend on the constraints it was scored under. A design
+        that fits the new constraints but was not scored here raises
+        DesignError, since only a new `optimize` can score it.
+        """
+        feasible = _feasible([(r.design, r.cost) for r in self.table],
+                             budget, toxicity_limit)
+        unscored = [r.design for r, ok in zip(self.table, feasible)
+                    if ok and not r.feasible]
+        if unscored:
+            raise DesignError(
+                f"{len(unscored)} design(s) within budget {budget:g} and "
+                f"toxicity_limit {toxicity_limit:g} are not scored in this "
+                "table; run optimize under these constraints instead")
+        rows = tuple(row if ok else _unscored_row(row.design, row.cost)
+                     for row, ok in zip(self.table, feasible))
+        return _report(rows, budget, toxicity_limit, self.reps,
+                       self.master_seed)
 
 
 def design_cost(costs: CostModel, design: Design, n: int) -> float:
@@ -147,10 +174,80 @@ def evaluate_design(scenario: Scenario, design: Design,
     return _mean_se([rep.score for rep in reports])
 
 
+@contextmanager
+def _worker_map(jobs: int):
+    """Yield a map(fn, tasks) -> list for one command.
+
+    A call runs in order in this process when jobs == 1 or it has at most
+    one task. Otherwise it runs on a spawn pool of `jobs` workers, opened
+    at the first such call and shared by every later call until the block
+    exits. pool.map returns results in task order, so they do not depend
+    on `jobs`.
+    """
+    pool = None
+
+    def run(fn, tasks):
+        nonlocal pool
+        if jobs == 1 or len(tasks) <= 1:
+            return [fn(t) for t in tasks]
+        if pool is None:
+            pool = get_context("spawn").Pool(processes=jobs)
+        return pool.map(fn, tasks)
+
+    try:
+        yield run
+    finally:
+        if pool is not None:
+            pool.terminate()
+
+
+def _unscored_row(design: Design, cost: float) -> EvalRow:
+    return EvalRow(design, cost, False, None, None, None, None, None, None)
+
+
+def _feasible(cells: list[tuple[Design, float]], budget: float,
+              toxicity_limit: float) -> list[bool]:
+    """Per (design, cost) cell, whether it meets both constraints. Raises
+    OptimizeInfeasibleError naming the binding constraints, counted over
+    every cell, when none does."""
+    over_budget = [cost > budget for _, cost in cells]
+    over_toxicity = [d.toxicity > toxicity_limit for d, _ in cells]
+    feasible = [not (b or t) for b, t in zip(over_budget, over_toxicity)]
+    if not any(feasible):
+        binding = []
+        if any(over_budget):
+            binding.append(f"budget {budget:g}")
+        if any(over_toxicity):
+            binding.append(f"toxicity_limit {toxicity_limit:g}")
+        raise OptimizeInfeasibleError(
+            "no feasible design in the space; binding constraint(s): "
+            + ", ".join(binding))
+    return feasible
+
+
+def _report(rows: tuple[EvalRow, ...], budget: float, toxicity_limit: float,
+            reps: int, master_seed: int) -> OptimizeReport:
+    best = min((row for row in rows if row.feasible),
+               key=lambda row: (-row.mean_score, row.cost, row.design))
+    return OptimizeReport(
+        best_design=best.design,
+        best_mean=best.mean_score,
+        best_se=best.se_score,
+        best_cost=best.cost,
+        budget=budget,
+        toxicity_limit=toxicity_limit,
+        budget_slack=budget - best.cost,
+        toxicity_slack=toxicity_limit - best.design.toxicity,
+        reps=reps,
+        master_seed=master_seed,
+        table=rows,
+    )
+
+
 def _eval_row(args) -> EvalRow:
     scenario, graph, design, cost, feasible, reps, master_seed = args
     if not feasible:
-        return EvalRow(design, cost, False, None, None, None, None, None, None)
+        return _unscored_row(design, cost)
     reports = replicate_design(scenario, design, reps, master_seed, graph=graph)
     mean, se = _mean_se([rep.score for rep in reports])
     k = float(len(reports))
@@ -171,7 +268,12 @@ def optimize(scenario: Scenario, space: DesignSpace | None = None,
     """Exhaustive search of the design grid under budget and toxicity
     constraints. Ties on mean score break toward lower cost, then toward
     the lexicographically smaller design record. `graph` defaults to the
-    scenario graph for `master_seed`."""
+    scenario graph for `master_seed`.
+
+    With jobs > 1 the grid's cells are scored on one spawn pool of `jobs`
+    workers; the report does not depend on `jobs`. To tighten the
+    constraints afterwards, use the report's `best_under`, which picks
+    again from the scored table instead of scoring the grid again."""
     space = scenario.space if space is None else space
     costs = scenario.costs if costs is None else costs
     budget = space.budget if budget is None else budget
@@ -181,47 +283,11 @@ def optimize(scenario: Scenario, space: DesignSpace | None = None,
 
     if graph is None:
         graph = scenario_graph(scenario, master_seed)
-    designs = enumerate_designs(space, graph)
-
-    tasks = []
-    over_budget = over_toxicity = 0
-    for design in designs:
-        cost = design_cost(costs, design, scenario.graph.n)
-        bad_budget = cost > budget
-        bad_tox = design.toxicity > toxicity_limit
-        over_budget += bad_budget
-        over_toxicity += bad_tox
-        tasks.append((scenario, graph, design, cost,
-                      not (bad_budget or bad_tox), reps, master_seed))
-
-    if not any(t[4] for t in tasks):
-        binding = []
-        if over_budget:
-            binding.append(f"budget {budget:g}")
-        if over_toxicity:
-            binding.append(f"toxicity_limit {toxicity_limit:g}")
-        raise OptimizeInfeasibleError(
-            "no feasible design in the space; binding constraint(s): "
-            + ", ".join(binding))
-
-    if jobs > 1 and sum(t[4] for t in tasks) > 1:
-        with get_context("spawn").Pool(processes=jobs) as pool:
-            rows = pool.map(_eval_row, tasks)
-    else:
-        rows = [_eval_row(t) for t in tasks]
-
-    best = min((row for row in rows if row.feasible),
-               key=lambda row: (-row.mean_score, row.cost, row.design))
-    return OptimizeReport(
-        best_design=best.design,
-        best_mean=best.mean_score,
-        best_se=best.se_score,
-        best_cost=best.cost,
-        budget=budget,
-        toxicity_limit=toxicity_limit,
-        budget_slack=budget - best.cost,
-        toxicity_slack=toxicity_limit - best.design.toxicity,
-        reps=reps,
-        master_seed=master_seed,
-        table=tuple(rows),
-    )
+    cells = [(design, design_cost(costs, design, scenario.graph.n))
+             for design in enumerate_designs(space, graph)]
+    feasible = _feasible(cells, budget, toxicity_limit)
+    tasks = [(scenario, graph, design, cost, ok, reps, master_seed)
+             for (design, cost), ok in zip(cells, feasible)]
+    with _worker_map(jobs) as pool_map:
+        rows = pool_map(_eval_row, tasks)
+    return _report(tuple(rows), budget, toxicity_limit, reps, master_seed)

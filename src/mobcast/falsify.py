@@ -399,14 +399,16 @@ def test_h0_network(spec: HypothesisSpec) -> TestReport:
     return _assemble(spec, components, point_summaries, details)
 
 
-def test_h0_ethics(spec: HypothesisSpec) -> TestReport:
+def test_h0_ethics(spec: HypothesisSpec, jobs: int = 1) -> TestReport:
     """Optimize unconstrained (toxicity cap 1) vs constrained (cap at
     constrained_limit) under CRN, then compare the two optima's
     polarization on fresh evaluation streams with a Welch test.
 
-    The CRN point difference is reported in details; the p-value uses
-    the fresh streams so that identical optima stay calibrated instead
-    of degenerate.
+    The design grid is scored once, unconstrained, on `jobs` workers; the
+    constrained optimum is picked again from that table. The CRN point
+    difference is reported in details; the p-value uses the fresh
+    streams so that identical optima stay calibrated instead of
+    degenerate.
     """
     spec.validate()
     scenario = null_scenario(spec)
@@ -415,10 +417,10 @@ def test_h0_ethics(spec: HypothesisSpec) -> TestReport:
 
     graph = scenario_graph(scenario, seed)
     unconstrained = optimize(scenario, space=space, toxicity_limit=1.0,
-                             reps=spec.reps, master_seed=seed, graph=graph)
-    constrained = optimize(scenario, space=space,
-                           toxicity_limit=spec.constrained_limit,
-                           reps=spec.reps, master_seed=seed, graph=graph)
+                             reps=spec.reps, master_seed=seed, jobs=jobs,
+                             graph=graph)
+    constrained = unconstrained.best_under(unconstrained.budget,
+                                           spec.constrained_limit)
 
     evals = {}
     for label, report in (("unconstrained", unconstrained),
@@ -469,31 +471,42 @@ _TESTS = {
     "H0_affect": test_h0_affect,
     "H0_format": test_h0_format,
     "H0_network": test_h0_network,
-    "H0_ethics": test_h0_ethics,
 }
 
 
-def run_test(spec: HypothesisSpec) -> TestReport:
+def run_test(spec: HypothesisSpec, jobs: int = 1) -> TestReport:
+    """Run one test. `jobs` workers score the ethics test's design grid;
+    the other tests run in this process. The report does not depend on
+    `jobs`."""
     spec.validate()
+    if spec.id == "H0_ethics":
+        return test_h0_ethics(spec, jobs=jobs)
     return _TESTS[spec.id](spec)
 
 
-def calibrate(spec: HypothesisSpec, meta_reps: int = 400) -> CalibrationReport:
+def _rejects(spec: HypothesisSpec) -> int:
+    return int(run_test(spec).reject)
+
+
+def calibrate(spec: HypothesisSpec, meta_reps: int = 400,
+              map_fn=map) -> CalibrationReport:
     """Empirical type-I error of a test under its null generator.
 
     Meta-replication m reruns the test with a master seed drawn from the
     (seed, "calibrate", m) stream; the rejection rate comes back with a
-    95% score interval.
+    95% score interval. The meta-replications are independent, so
+    `map_fn(fn, specs)` may run them anywhere, a worker pool included, as
+    long as it returns their results in order; the CLI passes the one
+    pool of its invocation.
     """
     if meta_reps < 1:
         raise DesignError("meta_reps must be >= 1")
     base = replace(spec, null=True) if not spec.null else spec
-    rejections = 0
+    metas = []
     for m in range(meta_reps):
         rng = derive_stream(spec.seed(), "calibrate", spec.id, m)
-        meta_seed = int(rng.integers(0, 2 ** 62))
-        report = run_test(replace(base, master_seed=meta_seed))
-        rejections += int(report.reject)
+        metas.append(replace(base, master_seed=int(rng.integers(0, 2 ** 62))))
+    rejections = sum(map_fn(_rejects, metas))
     rate = rejections / meta_reps
     lo, hi = wilson_interval(rejections, meta_reps)
     return CalibrationReport(id=spec.id, meta_reps=meta_reps,

@@ -13,12 +13,11 @@ iteration, verifying any fixed point by exhaustive deviation scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
 from .affect import AffectParams, Design, DesignError
-from .design import scenario_graph
+from .design import _worker_map, scenario_graph
 from .diffusion import (CascadeEngine, CascadeResult, DecisionParams,
                         TransmissionParams)
 from .graph import SocialGraph, block_centers, generate_network
@@ -183,11 +182,8 @@ def payoff_matrices(scenario: Scenario, left_player: PlayerConfig,
               master_seed)
              for dl in left_player.strategy_set
              for dr in right_player.strategy_set]
-    if jobs > 1 and len(tasks) > 1:
-        with get_context("spawn").Pool(processes=jobs) as pool:
-            cells = pool.map(_profile_cell, tasks)
-    else:
-        cells = [_profile_cell(t) for t in tasks]
+    with _worker_map(jobs) as pool_map:
+        cells = pool_map(_profile_cell, tasks)
     n_l = len(left_player.strategy_set)
     n_r = len(right_player.strategy_set)
     pay_l = np.array([c[0] for c in cells]).reshape(n_l, n_r)

@@ -64,6 +64,8 @@ class GraphConfig:
     context_spread: float = 0.0
 
     def validate(self) -> None:
+        from .affect import require_finite  # affect imports this module
+        require_finite(self)
         if self.n < 1:
             raise GraphError("n must be >= 1")
         if not 1 <= self.n_blocks <= self.n:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .affect import (FORMATS, SEEDING_STRATEGIES, AffectParams, Design,
-                     MeasurementParams)
+                     MeasurementParams, require_finite)
 from .diffusion import DecisionParams, TransmissionParams
 from .graph import GraphConfig
 from .impact import ImpactWeights
@@ -82,6 +82,7 @@ class DesignSpace:
     toxicity_limit: float = 0.5
 
     def validate(self) -> None:
+        require_finite(self)
         for f in self.formats:
             if f not in FORMATS:
                 raise ScenarioError(f"unknown format in space: {f!r}")
@@ -114,6 +115,7 @@ class GameConfig:
     seeding: str = "top_matching"
 
     def validate(self) -> None:
+        require_finite(self)
         for f in self.formats:
             if f not in FORMATS:
                 raise ScenarioError(f"unknown format in game: {f!r}")

@@ -18,3 +18,20 @@ def graph_samples(monkeypatch):
 
     monkeypatch.setattr(mobcast.design, "generate_network", counting)
     return calls
+
+
+@pytest.fixture
+def design_replications(monkeypatch):
+    """A list that grows by one per mobcast.design.replicate_design call
+    (the path every optimize cell takes)."""
+    import mobcast.design
+
+    calls = []
+    replicate = mobcast.design.replicate_design
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return replicate(*args, **kwargs)
+
+    monkeypatch.setattr(mobcast.design, "replicate_design", counting)
+    return calls

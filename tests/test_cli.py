@@ -7,6 +7,8 @@ enforced by the acceptance suite.
 """
 
 import json
+import multiprocessing
+import re
 from dataclasses import replace
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from mobcast.cli import IMPACT_COLUMNS, TRACE_COLUMNS, _jsonable, main
 from mobcast.estimate import (factor_scores, fit_activation, fit_affect_ols,
                               fit_edge_transmission, read_panel_csv)
-from mobcast.falsify import calibration_scenario
+from mobcast.falsify import HYPOTHESES, calibration_scenario
 from mobcast.graph import GraphConfig, load_edge_list
 from mobcast.scenario import (
     DesignSpace,
@@ -144,10 +146,27 @@ def test_game_output(scenario_file, tmp_path):
     assert report["trajectory"][0] == [0, 0]
 
 
-def test_falsify_outputs(scenario_file, tmp_path):
+PROGRESS = re.compile(r"(falsify H0_\w+ reject=[01]"
+                      r"|calibrate H0_\w+ (\d+)/\2 rejections=\d+)"
+                      r" \d+\.\ds")
+
+
+def assert_progress(err, command):
+    """One stderr line per hypothesis, in suite order."""
+    lines = err.splitlines()
+    assert len(lines) == len(HYPOTHESES)
+    for line, hid in zip(lines, HYPOTHESES):
+        assert line.startswith(f"{command} {hid} ")
+        assert PROGRESS.fullmatch(line), line
+
+
+def test_falsify_outputs(scenario_file, tmp_path, capsys):
     path, _ = scenario_file
     assert main(["falsify", "--scenario", path, "--out", str(tmp_path),
                  "--reps", "30"]) == 0
+    out, err = capsys.readouterr()
+    assert all(line.startswith("wrote ") for line in out.splitlines())
+    assert_progress(err, "falsify")
     lines = read_lines(tmp_path / "falsify_summary.csv")
     assert lines[1] == "id,statistic,p_value,alpha,reject"
     ids = [row.split(",")[0] for row in lines[2:]]
@@ -205,16 +224,67 @@ def test_estimate_fits_refit_from_its_csvs(scenario_file, tmp_path):
     assert list(loadings) == est["factor_loadings"]
 
 
-def test_calibrate_outputs(scenario_file, tmp_path):
+def test_calibrate_outputs(scenario_file, tmp_path, capsys):
     path, _ = scenario_file
     assert main(["calibrate", "--scenario", path, "--out", str(tmp_path),
                  "--meta-reps", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert all(line.startswith("wrote ") for line in out.splitlines())
+    assert_progress(err, "calibrate")
+    assert " 2/2 " in err
     lines = read_lines(tmp_path / "calibration.csv")
     assert lines[1] == "id,meta_reps,rejections,rate,ci_low,ci_high,alpha"
     assert len(lines) == 2 + 5
     payload = json.loads((tmp_path / "calibration.json").read_text())
     assert payload["meta_reps"] == 2
     assert len(payload["calibration"]) == 5
+
+
+@pytest.fixture
+def spawned_pools(monkeypatch):
+    """A list that grows by one per spawn-context Pool created."""
+    spawn = type(multiprocessing.get_context("spawn"))
+    pools = []
+    make_pool = spawn.Pool
+
+    def counting(self, *args, **kwargs):
+        pools.append(1)
+        return make_pool(self, *args, **kwargs)
+
+    monkeypatch.setattr(spawn, "Pool", counting)
+    return pools
+
+
+def test_falsify_bytes_do_not_depend_on_jobs(scenario_file, tmp_path,
+                                             spawned_pools):
+    path, _ = scenario_file
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["falsify", "--scenario", path, "--out", str(out),
+                     "--reps", "30", "--jobs", jobs]) == 0
+        outs.append(out)
+    # only the ethics design grid (two cells here) goes to a pool
+    assert len(spawned_pools) == 1
+    names = [f"falsify_{hid}.json" for hid in HYPOTHESES]
+    for name in names + ["falsify_summary.csv"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_calibrate_bytes_do_not_depend_on_jobs(scenario_file, tmp_path,
+                                               spawned_pools):
+    path, _ = scenario_file
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["calibrate", "--scenario", path, "--out", str(out),
+                     "--meta-reps", "4", "--jobs", jobs]) == 0
+        outs.append(out)
+        # jobs 1 runs in process; jobs 2 shares one pool across all five
+        # hypotheses
+        assert len(spawned_pools) == int(jobs) - 1
+    for name in ("calibration.csv", "calibration.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["generate", "simulate", "optimize",

@@ -139,3 +139,54 @@ def test_optimize_samples_the_graph_once(graph_samples):
     report = optimize(small_scenario(), jobs=1)
     assert sum(row.feasible for row in report.table) > 1
     assert len(graph_samples) == 1
+
+
+# (budget, toxicity_limit) pairs for ama-default, where the grid's costs
+# are meme 6, song 8, theatre 9 and mural 10 and toxicities are 0 or 0.6.
+CONSTRAINTS = [(12.0, 1.0), (12.0, 0.2), (9.0, 1.0), (8.0, 0.6),
+               (10.0, 0.5), (6.0, 0.0)]
+INFEASIBLE = [(5.0, 1.0), (12.0, -0.5), (5.0, -0.5)]
+
+
+@pytest.fixture(scope="module", params=[11, 101])
+def scored_grid(request):
+    """ama-default at a seed, with the whole grid scored (cap 1.0)."""
+    scenario = replace(ama_default(), master_seed=request.param, reps=12)
+    return scenario, optimize(scenario, toxicity_limit=1.0)
+
+
+@pytest.mark.parametrize("budget, limit", CONSTRAINTS)
+def test_best_under_equals_a_fresh_constrained_optimize(scored_grid, budget,
+                                                        limit):
+    scenario, full = scored_grid
+    assert all(row.feasible for row in full.table)
+    view = full.best_under(budget, limit)
+    fresh = optimize(scenario, budget=budget, toxicity_limit=limit)
+    assert view.best_design == fresh.best_design
+    assert view.best_mean == fresh.best_mean
+    assert view.best_se == fresh.best_se
+    assert view.best_cost == fresh.best_cost
+    assert view.budget_slack == fresh.budget_slack
+    assert view.toxicity_slack == fresh.toxicity_slack
+    assert [r for r in view.table if r.feasible] == \
+        [r for r in fresh.table if r.feasible]
+    assert view == fresh
+
+
+@pytest.mark.parametrize("budget, limit", INFEASIBLE)
+def test_best_under_infeasible_raises_what_optimize_raises(scored_grid,
+                                                           budget, limit):
+    scenario, full = scored_grid
+    with pytest.raises(OptimizeInfeasibleError) as fresh:
+        optimize(scenario, budget=budget, toxicity_limit=limit)
+    with pytest.raises(OptimizeInfeasibleError) as view:
+        full.best_under(budget, limit)
+    assert str(view.value) == str(fresh.value)
+
+
+def test_best_under_refuses_designs_it_never_scored():
+    scenario = small_scenario()
+    tight = optimize(scenario, budget=3.0)
+    assert tight.best_under(3.0, 0.5) == tight
+    with pytest.raises(DesignError, match="not scored"):
+        tight.best_under(12.0, 0.5)

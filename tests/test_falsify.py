@@ -107,6 +107,17 @@ def test_ethics_samples_the_scenario_graph_once(graph_samples):
     assert len(graph_samples) == 3
 
 
+def test_ethics_scores_its_design_grid_once(design_replications):
+    # ama-default's 32-design space: every design is scored once by the
+    # unconstrained optimize; the 16 designs under the 0.2 cap are not
+    # scored a second time
+    spec = replace(make_spec("H0_ethics", reps=30),
+                   space=ama_default().space)
+    report = run_test(spec)
+    assert len(design_replications) == 32
+    assert report.details["constrained_toxicity"] <= spec.constrained_limit
+
+
 def test_calibrate_smoke():
     report = calibrate(make_spec("H0_context"), meta_reps=3)
     assert report.meta_reps == 3

@@ -150,6 +150,9 @@ NAN, INF = float("nan"), float("inf")
     ("measurement", MeasurementParams(loadings=(1.0, NAN, 0.7, 0.9, 0.75))),
     ("measurement", MeasurementParams(intercepts=(0.0, 0.0, 0.0, 0.0, INF))),
     ("impact", ImpactWeights(kappa=NAN)),
+    ("graph", replace(ama_default().graph, identity_spread=NAN)),
+    ("game", replace(ama_default().game, w_sway=NAN)),
+    ("space", replace(ama_default().space, budget=NAN)),
 ])
 def test_non_finite_parameters_fail_validation(section, params):
     with pytest.raises(ValueError, match="must be finite"):
