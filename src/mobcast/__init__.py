@@ -14,8 +14,7 @@ from .design import (EvalRow, OptimizeInfeasibleError, OptimizeReport,
                      design_cost, enumerate_designs, evaluate_design,
                      optimize, replicate_design, scenario_graph)
 from .diffusion import (CascadeEngine, CascadeResult, DecisionParams,
-                        TransmissionParams, seed_count, seed_exposure,
-                        transmission_prob)
+                        TransmissionParams, seed_count, seed_exposure)
 from .estimate import (EstimateError, FitResult, PanelData, build_panel,
                        factor_scores, fit_activation, fit_affect_ols,
                        fit_edge_transmission, fit_logistic, read_panel_csv,
@@ -58,6 +57,6 @@ __all__ = [
     "preset_scenario", "read_panel_csv", "replicate_design",
     "run_test", "save_edge_list", "save_scenario", "scenario_graph",
     "scenario_hash", "score_cascade", "seed_count", "seed_exposure",
-    "structure_summary", "transmission_prob", "wald_p_value",
+    "structure_summary", "wald_p_value",
     "write_panel_csv", "__version__",
 ]

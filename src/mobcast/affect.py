@@ -25,9 +25,7 @@ __all__ = [
     "AffectParams",
     "MeasurementParams",
     "DesignError",
-    "matching",
     "matching_vector",
-    "form_affect",
     "affect_vector",
     "measure_items",
 ]
@@ -125,35 +123,17 @@ class MeasurementParams:
             raise DesignError("sigma_eps must be >= 0")
 
 
-def matching(identity: np.ndarray, design: Design) -> float:
-    """Symbol matching of one agent: similarity of identity and design symbols."""
-    return float(identity_similarity(identity, np.asarray(design.symbols)))
-
-
 def matching_vector(identity: np.ndarray, design: Design) -> np.ndarray:
     return identity_similarity(identity, np.asarray(design.symbols))
-
-
-def form_affect(params: AffectParams, exposed: bool, match: float,
-                context: float, design: Design,
-                rng: np.random.Generator | None = None) -> float:
-    """Latent affective response of a single agent."""
-    e = 1.0 if exposed else 0.0
-    v = (params.a0
-         + params.a1 * (1.0 + design.hook) * e
-         + params.a2 * match
-         + params.a3 * context
-         + params.a4 * e * match
-         + params.a5 * e * context)
-    if params.sigma_u > 0 and rng is not None:
-        v += rng.normal(0.0, params.sigma_u)
-    return float(v)
 
 
 def affect_vector(params: AffectParams, exposure: np.ndarray, match: np.ndarray,
                   context: np.ndarray, design: Design,
                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Vectorized form_affect over all agents; one noise draw per agent."""
+    """Latent affective response of every agent:
+    a0 + a1 (1 + hook) e + a2 m + a3 c + e (a4 m + a5 c) for exposure e,
+    matching m and context c, plus one N(0, sigma_u^2) draw per agent
+    when a generator is given."""
     e = exposure.astype(np.float64)
     v = (params.a0
          + params.a1 * (1.0 + design.hook) * e

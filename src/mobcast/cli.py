@@ -28,16 +28,17 @@ from dataclasses import replace
 import numpy as np
 
 from .affect import Design
-from .design import _worker_map, optimize, scenario_graph
-from .diffusion import CascadeEngine
+from .design import _design_runs, _worker_map, optimize, scenario_graph
+# CascadeEngine and generate_network stay bound here: the benchmark's
+# tracer test reaches both through this module
+from .diffusion import CascadeEngine  # noqa: F401
 from .estimate import (build_panel, factor_scores, fit_activation,
                        fit_affect_ols, fit_edge_transmission,
                        implied_affect_coefficients, write_panel_csv)
-from .falsify import (HYPOTHESES, HypothesisSpec, calibrate,
+from .falsify import (HYPOTHESES, MIN_REPS, HypothesisSpec, calibrate,
                       calibration_scenario, run_test)
 from .game import best_response_dynamics, players_from_scenario
-from .graph import generate_network, save_edge_list, structure_summary
-from .impact import score_cascade
+from .graph import generate_network, save_edge_list, structure_summary  # noqa: F401
 from .scenario import (PRESET_NAMES, Scenario, ScenarioError, derive_stream,
                        load_scenario, preset_scenario, save_scenario,
                        scenario_hash)
@@ -106,25 +107,9 @@ def _announce(path: str) -> None:
 
 def _sim_chunk(args):
     scenario, rep_ids, want_trace = args
-    regen = scenario.regenerate_graph_per_rep
-    graph = None
-    engine = None
-    if not regen:
-        graph = scenario_graph(scenario)
-        engine = CascadeEngine(graph, scenario.affect, scenario.decision,
-                               scenario.transmission, scenario.design)
     out = []
-    for r in rep_ids:
-        if regen:
-            graph = generate_network(scenario.graph,
-                                     derive_stream(scenario.master_seed, r,
-                                                   "graph"))
-            engine = CascadeEngine(graph, scenario.affect, scenario.decision,
-                                   scenario.transmission, scenario.design)
-        result = engine.run(derive_stream(scenario.master_seed, r),
-                            max_rounds=scenario.max_rounds)
-        report = score_cascade(graph, scenario.design, result, scenario.impact,
-                               match=engine.match)
+    runs = _design_runs(scenario, scenario.design, rep_ids, scenario.master_seed)
+    for r, (_, result, report) in zip(rep_ids, runs):
         trace = None
         if want_trace:
             trace = (result.exposure.astype(np.int64), result.affect.copy(),
@@ -290,9 +275,14 @@ def _progress(line: str, start: float) -> None:
 def run_falsify(scenario: Scenario, out_dir: str, reps: int | None = None,
                 alpha: float = 0.05, null: bool = False,
                 jobs: int = 1) -> list:
-    """Run the five tests; `jobs` workers score the ethics design grid."""
+    """Run the five tests; `jobs` workers score the ethics design grid.
+    Fewer than MIN_REPS reps per arm, from `reps` or else the scenario,
+    is an error."""
+    source = "the scenario's reps" if reps is None else "--reps"
     reps = scenario.reps if reps is None else reps
-    reps = max(30, reps)
+    if reps < MIN_REPS:
+        raise ValueError(f"falsify needs at least {MIN_REPS} reps per arm; "
+                         f"{source} is {reps}")
     reports = []
     for hid in HYPOTHESES:
         spec = HypothesisSpec(id=hid, scenario=scenario, null=null,

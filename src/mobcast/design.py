@@ -18,7 +18,7 @@ from multiprocessing import get_context
 from .affect import Design, DesignError
 from .diffusion import CascadeEngine, seed_count
 from .graph import SocialGraph, block_centers, generate_network
-from .impact import ImpactReport, score_cascade
+from .impact import ImpactReport, ImpactWeights, score_cascade, score_cascades
 from .scenario import CostModel, DesignSpace, Scenario, derive_stream
 
 __all__ = [
@@ -32,6 +32,11 @@ __all__ = [
     "evaluate_design",
     "optimize",
 ]
+
+
+# agents per lockstep batch of replications: 102 reps at n=80, 20 at
+# n=400, and from n=8192 up one rep, on CascadeEngine.run's own loop
+_BATCH_AGENTS = 2 ** 13
 
 
 class OptimizeInfeasibleError(ValueError):
@@ -133,25 +138,75 @@ def replicate_design(scenario: Scenario, design: Design, reps: int,
     """Impact reports for `reps` replications under the CRN contract."""
     if reps < 1:
         raise DesignError("reps must be >= 1")
-    regen = scenario.regenerate_graph_per_rep
-    if graph is None and not regen:
-        graph = scenario_graph(scenario, master_seed)
-    engine = None
-    if not regen:
-        engine = CascadeEngine(graph, scenario.affect, scenario.decision,
-                               scenario.transmission, design)
-    reports = []
-    for r in range(reps):
-        if regen:
-            g = generate_network(scenario.graph,
-                                 derive_stream(master_seed, r, "graph"))
-            engine = CascadeEngine(g, scenario.affect, scenario.decision,
-                                   scenario.transmission, design)
-        result = engine.run(derive_stream(master_seed, r),
-                            max_rounds=scenario.max_rounds)
-        reports.append(score_cascade(engine.graph, design, result,
-                                     scenario.impact, match=engine.match))
-    return reports
+    return [report for _, _, report in
+            _design_runs(scenario, design, range(reps), master_seed, graph)]
+
+
+def _design_runs(scenario: Scenario, design: Design, rep_ids, master_seed: int,
+                 graph: SocialGraph | None = None):
+    """Yield (engine, result, report) for each rep id in order; rep r
+    draws from the stream (master_seed, r), so every design sees the same
+    replication streams (common random numbers)."""
+    for engine, ids in _rep_engines(scenario, graph, master_seed, rep_ids,
+                                    design):
+        for _, result, report in _replications(
+                engine, [(master_seed, r) for r in ids], scenario.max_rounds,
+                scenario.impact):
+            yield engine, result, report
+
+
+def _rep_engines(scenario: Scenario, graph: SocialGraph | None,
+                 master_seed: int, rep_ids, *designs,
+                 engine=CascadeEngine):
+    """Yield (engine, rep ids) pairs that cover `rep_ids` in order.
+
+    One engine over `graph` (the scenario graph when None) serves every
+    rep; when the scenario regenerates its graph per rep, rep r gets its
+    own engine over the graph of the stream (master_seed, r, "graph").
+    """
+    def build(g):
+        return engine(g, scenario.affect, scenario.decision,
+                      scenario.transmission, *designs)
+
+    if not scenario.regenerate_graph_per_rep:
+        if graph is None:
+            graph = scenario_graph(scenario, master_seed)
+        yield build(graph), list(rep_ids)
+        return
+    for r in rep_ids:
+        yield build(generate_network(scenario.graph,
+                                     derive_stream(master_seed, r, "graph"))), [r]
+
+
+def _replications(engine: CascadeEngine, labels: list[tuple],
+                  max_rounds: int | None, weights: ImpactWeights | None = None):
+    """Run one replication of `engine` per tuple of stream labels and
+    yield (rng, result, report) for each, in order.
+
+    rng is derive_stream(*labels) after the replication drew from it,
+    result what engine.run(rng) returns, and report its score_cascade
+    under `weights` (None without weights). Reps advance in lockstep
+    batches of max(1, _BATCH_AGENTS // n) through engine.run_batch, which
+    keeps every rep's stream consumption, so nothing depends on the batch
+    size; a batch of one goes through engine.run and score_cascade.
+    """
+    size = max(1, _BATCH_AGENTS // engine.graph.n)
+    for start in range(0, len(labels), size):
+        rngs = [derive_stream(*label) for label in labels[start:start + size]]
+        if len(rngs) == 1:
+            results = [engine.run(rngs[0], max_rounds)]
+        else:
+            results = [engine._outcome(sides) for sides
+                       in zip(*engine.run_batch(rngs, max_rounds))]
+        if weights is None:
+            reports = [None] * len(results)
+        elif len(results) == 1:
+            reports = [score_cascade(engine.graph, engine.designs[0],
+                                     results[0], weights, match=engine.match)]
+        else:
+            reports = score_cascades(engine.graph, engine.designs[0], results,
+                                     weights, match=engine.match)
+        yield from zip(rngs, results, reports)
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affect import Design, measure_items
-from .design import scenario_graph
-from .diffusion import CascadeEngine
-from .graph import generate_network, identity_similarity
-from .scenario import Scenario, derive_stream
+from .design import _rep_engines, _replications, scenario_graph
+from .graph import identity_similarity
+from .scenario import Scenario
 from .stats import normal_sf
 
 __all__ = [
@@ -340,53 +339,44 @@ def build_panel(scenario: Scenario, designs: tuple[Design, ...] | None = None,
         "meme", "same_block", "success")}
 
     for arm, design in enumerate(designs):
-        graph = fixed_graph
-        engine = None
-        if graph is not None:
-            engine = CascadeEngine(graph, scenario.affect, scenario.decision,
-                                   scenario.transmission, design)
-        for r in range(reps):
-            rng = derive_stream(master_seed, "panel", arm, r)
-            if graph is None or scenario.regenerate_graph_per_rep:
-                graph = generate_network(scenario.graph,
-                                         derive_stream(master_seed, r, "graph"))
-                engine = CascadeEngine(graph, scenario.affect,
-                                       scenario.decision,
-                                       scenario.transmission, design)
-            result = engine.run(rng, max_rounds=scenario.max_rounds)
-            n = graph.n
-            items = measure_items(scenario.measurement, result.affect, rng)
+        for engine, ids in _rep_engines(scenario, fixed_graph, master_seed,
+                                        range(reps), design):
+            graph, n = engine.graph, engine.graph.n
+            runs = _replications(engine, [(master_seed, "panel", arm, r)
+                                          for r in ids], scenario.max_rounds)
+            for r, (rng, result, _) in zip(ids, runs):
+                items = measure_items(scenario.measurement, result.affect, rng)
 
-            agent_cols["arm"].append(np.full(n, arm, dtype=np.int64))
-            agent_cols["rep"].append(np.full(n, r, dtype=np.int64))
-            agent_cols["agent"].append(np.arange(n, dtype=np.int64))
-            agent_cols["exposure"].append(result.exposure.astype(np.int64))
-            agent_cols["affect"].append(result.affect)
-            agent_cols["matching"].append(engine.match)
-            agent_cols["context"].append(graph.context)
-            agent_cols["decision"].append(result.active.astype(np.int64))
-            agent_cols["influence"].append(result.influence_counts())
-            item_blocks.append(items)
+                agent_cols["arm"].append(np.full(n, arm, dtype=np.int64))
+                agent_cols["rep"].append(np.full(n, r, dtype=np.int64))
+                agent_cols["agent"].append(np.arange(n, dtype=np.int64))
+                agent_cols["exposure"].append(result.exposure.astype(np.int64))
+                agent_cols["affect"].append(result.affect)
+                agent_cols["matching"].append(engine.match)
+                agent_cols["context"].append(graph.context)
+                agent_cols["decision"].append(result.active.astype(np.int64))
+                agent_cols["influence"].append(result.influence_counts())
+                item_blocks.append(items)
 
-            att = result.attempts
-            k = att.shape[0]
-            edge_cols["arm"].append(np.full(k, arm, dtype=np.int64))
-            edge_cols["rep"].append(np.full(k, r, dtype=np.int64))
-            edge_cols["sender"].append(att[:, 0])
-            edge_cols["target"].append(att[:, 1])
-            edge_cols["sender_affect"].append(result.affect[att[:, 0]])
-            sim = np.empty(0)
-            same = np.empty(0, dtype=np.int64)
-            if k:
-                sim = identity_similarity(graph.identity[att[:, 0]],
-                                          graph.identity[att[:, 1]])
-                same = (graph.block[att[:, 0]]
-                        == graph.block[att[:, 1]]).astype(np.int64)
-            edge_cols["similarity"].append(sim)
-            edge_cols["same_block"].append(same)
-            edge_cols["meme"].append(np.full(
-                k, 1 if design.format == "meme" else 0, dtype=np.int64))
-            edge_cols["success"].append(att[:, 2])
+                att = result.attempts
+                k = att.shape[0]
+                edge_cols["arm"].append(np.full(k, arm, dtype=np.int64))
+                edge_cols["rep"].append(np.full(k, r, dtype=np.int64))
+                edge_cols["sender"].append(att[:, 0])
+                edge_cols["target"].append(att[:, 1])
+                edge_cols["sender_affect"].append(result.affect[att[:, 0]])
+                sim = np.empty(0)
+                same = np.empty(0, dtype=np.int64)
+                if k:
+                    sim = identity_similarity(graph.identity[att[:, 0]],
+                                              graph.identity[att[:, 1]])
+                    same = (graph.block[att[:, 0]]
+                            == graph.block[att[:, 1]]).astype(np.int64)
+                edge_cols["similarity"].append(sim)
+                edge_cols["same_block"].append(same)
+                edge_cols["meme"].append(np.full(
+                    k, 1 if design.format == "meme" else 0, dtype=np.int64))
+                edge_cols["success"].append(att[:, 2])
 
     def cat(parts, dtype=None):
         if not parts:

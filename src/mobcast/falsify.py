@@ -21,17 +21,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affect import Design, DesignError
-from .design import design_cost, optimize, replicate_design, scenario_graph
+from .design import _replications, optimize, scenario_graph
 from .diffusion import CascadeEngine
 from .estimate import fit_logistic, wald_p_value
 from .graph import (CONTEXT_PRESETS, SocialGraph, generate_network,
                     homophily_index, identity_similarity)
-from .impact import score_cascade
 from .scenario import DesignSpace, Scenario, derive_stream
 from .stats import holm_adjust, slope_test, welch_t_test, wilson_interval
 
 __all__ = [
     "HYPOTHESES",
+    "MIN_REPS",
     "HypothesisSpec",
     "TestReport",
     "CalibrationReport",
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 HYPOTHESES = ("H0_context", "H0_affect", "H0_format", "H0_network", "H0_ethics")
+
+# fewest replications per arm a test accepts
+MIN_REPS = 30
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class HypothesisSpec:
     def validate(self) -> None:
         if self.id not in HYPOTHESES:
             raise DesignError(f"unknown hypothesis id {self.id!r}")
-        if self.reps < 30:
-            raise DesignError("hypothesis reps must be >= 30")
+        if self.reps < MIN_REPS:
+            raise DesignError(f"hypothesis reps must be >= {MIN_REPS}")
         if not 0.0 < self.alpha < 1.0:
             raise DesignError("alpha must lie in (0, 1)")
 
@@ -166,18 +169,14 @@ def _context_bounds(config) -> tuple[float, float]:
 
 def _arm_runs(scenario: Scenario, graph: SocialGraph, design: Design,
               reps: int, seed: int, *labels):
-    """Replications with per-arm streams; returns cascade results and
-    impact reports."""
+    """Replications with per-arm streams (seed, "falsify", *labels, r);
+    returns cascade results and impact reports."""
     engine = CascadeEngine(graph, scenario.affect, scenario.decision,
                            scenario.transmission, design)
-    results, reports = [], []
-    for r in range(reps):
-        rng = derive_stream(seed, "falsify", *labels, r)
-        res = engine.run(rng, max_rounds=scenario.max_rounds)
-        results.append(res)
-        reports.append(score_cascade(graph, design, res, scenario.impact,
-                                     match=engine.match))
-    return results, reports
+    runs = list(_replications(engine, [(seed, "falsify", *labels, r)
+                                       for r in range(reps)],
+                              scenario.max_rounds, scenario.impact))
+    return [res for _, res, _ in runs], [rep for _, _, rep in runs]
 
 
 def _summary(reports) -> dict[str, float]:
@@ -425,16 +424,9 @@ def test_h0_ethics(spec: HypothesisSpec, jobs: int = 1) -> TestReport:
     evals = {}
     for label, report in (("unconstrained", unconstrained),
                           ("constrained", constrained)):
-        engine = CascadeEngine(graph, scenario.affect, scenario.decision,
-                               scenario.transmission, report.best_design)
-        polar = []
-        for r in range(spec.reps):
-            rng = derive_stream(seed, "falsify", spec.id, "eval", label, r)
-            res = engine.run(rng, max_rounds=scenario.max_rounds)
-            polar.append(score_cascade(graph, report.best_design, res,
-                                       scenario.impact,
-                                       match=engine.match).polarization)
-        evals[label] = polar
+        _, reports = _arm_runs(scenario, graph, report.best_design, spec.reps,
+                               seed, spec.id, "eval", label)
+        evals[label] = [rep.polarization for rep in reports]
 
     welch = welch_t_test(evals["unconstrained"], evals["constrained"])
     components = [Component("welch_polarization", welch.statistic,

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affect import AffectParams, Design, DesignError
-from .design import _worker_map, scenario_graph
+from .design import _rep_engines, _replications, _worker_map, scenario_graph
 from .diffusion import (CascadeEngine, CascadeResult, DecisionParams,
                         TransmissionParams)
-from .graph import SocialGraph, block_centers, generate_network
+from .graph import SocialGraph, block_centers
 from .impact import cohesion, participation, polarization, sway
-from .scenario import Scenario, derive_stream
+from .scenario import Scenario
 
 __all__ = [
     "PlayerConfig",
@@ -98,7 +98,11 @@ class JointCascadeEngine(CascadeEngine):
 
     def run(self, rng: np.random.Generator,
             max_rounds: int | None = None) -> JointCascadeResult:
-        left, right = self._run_sides(rng, max_rounds)
+        return self._outcome(self._run_sides(rng, max_rounds))
+
+    def _outcome(self, sides: list[CascadeResult]) -> JointCascadeResult:
+        """The joint result of one replication's left and right results."""
+        left, right = sides
         adoption = np.zeros(self.graph.n, dtype=np.int8)
         adoption[left.active] = 1
         adoption[right.active] = 2
@@ -148,23 +152,17 @@ def players_from_scenario(scenario: Scenario) -> tuple[PlayerConfig, PlayerConfi
 def _profile_cell(args) -> tuple[float, float]:
     (scenario, graph, left_player, right_player, design_left, design_right,
      reps, master_seed) = args
-    regen = scenario.regenerate_graph_per_rep
     total_l = total_r = 0.0
-    for r in range(reps):
-        if regen:
-            graph = generate_network(scenario.graph,
-                                     derive_stream(master_seed, r, "graph"))
-        if regen or r == 0:
-            engine = JointCascadeEngine(graph, scenario.affect,
-                                        scenario.decision,
-                                        scenario.transmission,
-                                        design_left, design_right)
-        joint = engine.run(derive_stream(master_seed, r),
-                           max_rounds=scenario.max_rounds)
-        total_l += payoff(left_player, graph, joint, scenario.game.kappa,
-                          scenario.impact.delta_u)
-        total_r += payoff(right_player, graph, joint, scenario.game.kappa,
-                          scenario.impact.delta_u)
+    for engine, ids in _rep_engines(scenario, graph, master_seed, range(reps),
+                                    design_left, design_right,
+                                    engine=JointCascadeEngine):
+        for _, joint, _ in _replications(engine,
+                                         [(master_seed, r) for r in ids],
+                                         scenario.max_rounds):
+            total_l += payoff(left_player, engine.graph, joint,
+                              scenario.game.kappa, scenario.impact.delta_u)
+            total_r += payoff(right_player, engine.graph, joint,
+                              scenario.game.kappa, scenario.impact.delta_u)
     return total_l / reps, total_r / reps
 
 

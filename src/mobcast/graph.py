@@ -26,7 +26,7 @@ __all__ = [
     "GraphError",
     "generate_network",
     "identity_similarity",
-    "similarity",
+    "out_arcs",
     "modularity",
     "homophily_index",
     "structure_summary",
@@ -96,11 +96,17 @@ class Arcs:
     def out_arcs(self, senders: np.ndarray) -> np.ndarray:
         """Indices of every arc leaving the (non-empty) `senders`, in
         sender order."""
-        starts = self.indptr[senders]
-        counts = self.indptr[senders + 1] - starts
-        ends = counts.cumsum()
-        return (np.arange(int(ends[-1]), dtype=np.int64)
-                + (starts - (ends - counts)).repeat(counts))
+        return out_arcs(self.indptr, senders)
+
+
+def out_arcs(indptr: np.ndarray, senders: np.ndarray) -> np.ndarray:
+    """Indices of every arc leaving the (non-empty) `senders` of the CSR
+    offsets `indptr`, in sender order."""
+    starts = indptr[senders]
+    counts = indptr[senders + 1] - starts
+    ends = counts.cumsum()
+    return (np.arange(int(ends[-1]), dtype=np.int64)
+            + (starts - (ends - counts)).repeat(counts))
 
 
 @dataclass
@@ -270,10 +276,6 @@ def identity_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     dist = np.sqrt(np.sum((a - b) ** 2, axis=-1))
     return np.clip(1.0 - dist / math.sqrt(d), 0.0, 1.0)
-
-
-def similarity(graph: SocialGraph, i: int, j: int) -> float:
-    return float(identity_similarity(graph.identity[i], graph.identity[j]))
 
 
 def modularity(graph: SocialGraph) -> float:

@@ -37,6 +37,7 @@ __all__ = [
     "within_block_reach",
     "cross_block_sway",
     "score_cascade",
+    "score_cascades",
 ]
 
 
@@ -145,27 +146,69 @@ def score_cascade(graph: SocialGraph, design: Design, result: CascadeResult,
                   weights: ImpactWeights | None = None,
                   match: np.ndarray | None = None) -> ImpactReport:
     """All impact components plus the composite for one replication."""
+    return score_cascades(graph, design, [result], weights, match)[0]
+
+
+def score_cascades(graph: SocialGraph, design: Design,
+                   results: list[CascadeResult],
+                   weights: ImpactWeights | None = None,
+                   match: np.ndarray | None = None) -> list[ImpactReport]:
+    """score_cascade for each of several replications of one design on
+    one graph, with the per-(graph, design, weights) constants computed
+    once. Every component is a ratio of integer counts, so each report
+    equals the one score_cascade gives."""
     if weights is None:
         weights = ImpactWeights()
     weights.validate()
     if match is None:
         match = matching_vector(graph.identity, design)
+    n, k, reps = graph.n, graph.n_blocks, len(results)
+    blocks = graph.block == np.arange(k)[:, None]
+    # block membership, then membership among the undecided, one row each
+    member = np.concatenate([blocks, blocks & undecided_mask(
+        match, weights.delta_u)]).astype(np.float64)
+    # per replication the active and the exposed agents, then everybody;
+    # their member counts are exact small-integer float sums
+    agents = np.empty((2 * reps + 1, n))
+    agents[:reps] = [res.active for res in results]
+    agents[reps:-1] = [res.exposure for res in results]
+    agents[-1] = 1.0
+    counts = agents @ member.T
+    totals = counts[-1, :k]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rates = np.where(totals > 0, counts[:reps, :k] / np.maximum(totals, 1.0),
+                         0.0)
+    spreads = (rates.max(axis=1) - rates.min(axis=1)).tolist() if k > 1 \
+        else [0.0] * reps
+    homes = np.argmax(counts[reps:-1, :k], axis=1).tolist()
+    counts = counts.astype(np.int64).tolist()
+    totals, und_totals = counts[-1][:k], counts[-1][k:]
+    und_total = sum(und_totals)
+    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
 
-    part = participation(graph, result.active)
-    coh = cohesion(graph, result.active)
-    sw = sway(match, result.active, weights.delta_u)
-    pol = polarization(graph, result.active)
-    score = (weights.w_participation * part + weights.w_cohesion * coh
-             + weights.w_sway * sw - weights.kappa * pol)
-    home = home_block(graph, result.exposure)
-    return ImpactReport(
-        participation=part,
-        cohesion=coh,
-        sway=sw,
-        polarization=pol,
-        score=score,
-        home_block=home,
-        within_block_reach=within_block_reach(graph, result.active, home),
-        cross_block_sway=cross_block_sway(graph, match, result.active, home,
-                                          weights.delta_u),
-    )
+    reports = []
+    for res, row, home, pol in zip(results, counts, homes, spreads):
+        n_active = sum(row[:k])
+        und_active = sum(row[k:])
+        part = float(n_active) / n if n else 0.0
+        coh = 0.0
+        if n_active >= 2 and graph.n_edges:
+            act = res.active
+            inside = int(np.count_nonzero(act[e0] & act[e1]))
+            coh = float(inside) / (n_active * (n_active - 1) / 2.0)
+        sw = float(und_active) / und_total if und_total else 0.0
+        cross_total = und_total - und_totals[home]
+        reports.append(ImpactReport(
+            participation=part,
+            cohesion=coh,
+            sway=sw,
+            polarization=pol,
+            score=(weights.w_participation * part + weights.w_cohesion * coh
+                   + weights.w_sway * sw - weights.kappa * pol),
+            home_block=home,
+            within_block_reach=(float(row[home]) / totals[home]
+                                if totals[home] else 0.0),
+            cross_block_sway=(float(und_active - row[k + home]) / cross_total
+                              if cross_total else 0.0),
+        ))
+    return reports

@@ -25,7 +25,6 @@ __all__ = [
     "SlopeResult",
     "slope_test",
     "wilson_interval",
-    "sample_mean_se",
 ]
 
 _TINY = 1e-300
@@ -213,12 +212,3 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
-
-
-def sample_mean_se(values) -> tuple[float, float]:
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise StatsError("empty sample")
-    if v.size == 1:
-        return float(v[0]), 0.0
-    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))

@@ -11,8 +11,6 @@ from mobcast.affect import (
     DesignError,
     MeasurementParams,
     affect_vector,
-    form_affect,
-    matching,
     matching_vector,
     measure_items,
 )
@@ -62,20 +60,27 @@ def test_design_is_hashable_and_ordered():
 
 def test_matching_is_symbol_similarity():
     d = make_design(symbols=(0.8,))
-    assert matching(np.array([0.3]), d) == pytest.approx(0.5)
+    assert matching_vector(np.array([0.3]), d) == pytest.approx(0.5)
     vec = matching_vector(np.array([[0.3], [0.8]]), d)
     assert vec == pytest.approx([0.5, 1.0])
+
+
+def hand_affect(params, exposed, match, context, design):
+    e = 1.0 if exposed else 0.0
+    return (params.a0 + params.a1 * (1.0 + design.hook) * e + params.a2 * match
+            + params.a3 * context + params.a4 * e * match
+            + params.a5 * e * context)
 
 
 def test_form_affect_hand_arithmetic():
     params = AffectParams(a0=0.1, a1=0.2, a2=0.5, a3=0.3, a4=0.4, a5=0.6,
                           sigma_u=0.0)
     d = make_design(hook=0.5)
+    v, v0 = affect_vector(params, np.array([True, False]), np.full(2, 0.7),
+                          np.full(2, 0.9), d)
     # exposed: 0.1 + 0.2*1.5 + 0.5*0.7 + 0.3*0.9 + 0.4*0.7 + 0.6*0.9
-    v = form_affect(params, True, match=0.7, context=0.9, design=d)
     assert v == pytest.approx(0.1 + 0.3 + 0.35 + 0.27 + 0.28 + 0.54)
     # unexposed: all exposure terms drop out
-    v0 = form_affect(params, False, match=0.7, context=0.9, design=d)
     assert v0 == pytest.approx(0.1 + 0.35 + 0.27)
 
 
@@ -87,7 +92,7 @@ def test_affect_vector_matches_scalar_path():
     context = np.array([0.8, 0.1, 0.5])
     vec = affect_vector(params, exposure, match, context, d)
     for i in range(3):
-        expected = form_affect(params, bool(exposure[i]), float(match[i]),
+        expected = hand_affect(params, bool(exposure[i]), float(match[i]),
                                float(context[i]), d)
         assert vec[i] == pytest.approx(expected)
 
@@ -99,7 +104,7 @@ def test_affect_noise_scale():
     rng = derive_stream(21, "affect-noise")
     vec = affect_vector(params, np.zeros(n, dtype=bool), np.full(n, 0.5),
                         np.full(n, 0.5), d, rng)
-    base = form_affect(AffectParams(sigma_u=0.0), False, 0.5, 0.5, d)
+    base = hand_affect(params, False, 0.5, 0.5, d)
     resid = vec - base
     assert abs(resid.mean()) < 0.02
     assert resid.std() == pytest.approx(0.3, rel=0.1)

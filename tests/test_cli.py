@@ -298,6 +298,19 @@ def test_jobs_below_one_is_rejected(scenario_file, tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, source", [([], "scenario"),
+                                           (["--reps", "12"], "--reps")])
+def test_falsify_refuses_too_few_reps(scenario_file, tmp_path, capsys,
+                                      flags, source):
+    path, scenario = scenario_file
+    assert scenario.reps < 30  # the fixture's own count is too small
+    assert main(["falsify", "--scenario", path, "--out", str(tmp_path),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert "at least 30 reps" in err and source in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["generate", "optimize", "game",
                                      "falsify", "estimate", "calibrate"])
 def test_trace_is_a_simulate_only_flag(scenario_file, tmp_path, capsys,

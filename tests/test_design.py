@@ -1,12 +1,17 @@
 """Design grid enumeration, costing, and the constrained optimizer."""
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+import mobcast.design
 from mobcast.affect import DesignError
 from mobcast.design import (
     OptimizeInfeasibleError,
+    _mean_se,
+    _replications,
     design_cost,
     enumerate_designs,
     evaluate_design,
@@ -14,6 +19,9 @@ from mobcast.design import (
     replicate_design,
     scenario_graph,
 )
+from mobcast.diffusion import CascadeEngine
+from mobcast.estimate import build_panel
+from mobcast.game import payoff_matrices, players_from_scenario
 from mobcast.graph import GraphConfig
 from mobcast.scenario import CostModel, DesignSpace, ama_default
 
@@ -190,3 +198,73 @@ def test_best_under_refuses_designs_it_never_scored():
     assert tight.best_under(3.0, 0.5) == tight
     with pytest.raises(DesignError, match="not scored"):
         tight.best_under(12.0, 0.5)
+
+
+def test_mean_se():
+    mean, se = _mean_se([2.0, 4.0, 6.0])
+    assert mean == pytest.approx(4.0)
+    assert se == pytest.approx(np.std([2.0, 4.0, 6.0], ddof=1) / math.sqrt(3))
+    assert _mean_se([3.5]) == (3.5, 0.0)
+
+
+def batching_scenario(**overrides):
+    base = ama_default()
+    return replace(base, name="batching", master_seed=99, reps=7,
+                   graph=replace(base.graph, n=80), **overrides)
+
+
+def under_batch_sizes(monkeypatch, n, reps, run):
+    """run() with the replication batch at 1, 2, 3 and all `reps` reps of
+    n agents each."""
+    out = []
+    for size in (1, 2, 3, reps):
+        monkeypatch.setattr(mobcast.design, "_BATCH_AGENTS", size * n)
+        out.append(run())
+    return out
+
+
+def test_replications_do_not_depend_on_batch_size(monkeypatch):
+    scenario = batching_scenario()
+    graph = scenario_graph(scenario)
+    engine = CascadeEngine(graph, scenario.affect, scenario.decision,
+                           scenario.transmission, scenario.design)
+    labels = [(4, "batching", r) for r in range(7)]
+
+    def run():
+        return [(rng.random(), result, report) for rng, result, report in
+                _replications(engine, labels, scenario.max_rounds,
+                              scenario.impact)]
+
+    first, *others = under_batch_sizes(monkeypatch, graph.n, 7, run)
+    for other in others:
+        assert len(other) == len(first) == 7
+        for (draw_a, res_a, rep_a), (draw_b, res_b, rep_b) in zip(first, other):
+            assert draw_a == draw_b
+            assert rep_a == rep_b
+            for name in ("exposure", "affect", "active", "activation_round",
+                         "fired_edges", "attempts"):
+                a, b = getattr(res_a, name), getattr(res_b, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert res_a.rounds_run == res_b.rounds_run
+
+
+@pytest.mark.parametrize("regenerate", [False, True])
+def test_callers_do_not_depend_on_batch_size(monkeypatch, regenerate):
+    scenario = batching_scenario(regenerate_graph_per_rep=regenerate)
+    left, right = players_from_scenario(scenario)
+    theatre = replace(scenario.design, seeding="random")
+    meme = replace(theatre, format="meme")
+
+    def run():
+        panel = build_panel(scenario, designs=(theatre, meme))
+        return (replicate_design(scenario, scenario.design, 7, 99),
+                payoff_matrices(scenario, left, right, 7, 99),
+                [(v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+                 else v for v in (getattr(panel, f.name) for f in fields(panel))])
+
+    first, *others = under_batch_sizes(monkeypatch, 80, 7, run)
+    for reports, (pay_l, pay_r), panel in others:
+        assert reports == first[0]
+        assert pay_l.tobytes() == first[1][0].tobytes()
+        assert pay_r.tobytes() == first[1][1].tobytes()
+        assert panel == first[2]

@@ -1,6 +1,8 @@
 """Cascade mechanics: seeding, thresholds, per-edge transmission, and the
 exhaustive enumerator the acceptance gate leans on."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from mobcast.diffusion import (
     b2_effective,
     seed_count,
     seed_exposure,
-    transmission_prob,
 )
+from mobcast.design import scenario_graph
 from mobcast.graph import GraphConfig, generate_network
-from mobcast.scenario import derive_stream
+from mobcast.scenario import derive_stream, preset_scenario
 from mobcast.stats import logistic
 
 from oracles import (
@@ -95,18 +97,23 @@ def test_b2_effective_gating():
 
 
 def test_transmission_prob_hand_logit():
+    # one edge between identities 0.3 and 0.9: similarity 0.4
     params = TransmissionParams(l0=-1.0, l1=2.0, l2=1.0, l3=0.5, l4_tox=2.0)
-    meme = Design(format="meme", symbols=(0.5,), hook=0.0,
-                  call_and_response=False, toxicity=0.5,
-                  seed_fraction=0.1, seeding="top_matching")
-    p = transmission_prob(params, sender_affect=0.3, sim=0.4,
-                          same_block=True, design=meme)
-    assert p == pytest.approx(float(logistic(1.5)))
-    mural = Design(format="mural", symbols=(0.5,), hook=0.0,
-                   call_and_response=False, toxicity=0.5,
-                   seed_fraction=0.1, seeding="top_matching")
-    p2 = transmission_prob(params, 0.3, 0.4, same_block=False, design=mural)
-    assert p2 == pytest.approx(0.5)  # logit collapses to exactly 0
+
+    def prob(fmt, blocks, sender_affect):
+        design = Design(format=fmt, symbols=(0.5,), hook=0.0,
+                        call_and_response=False, toxicity=0.5,
+                        seed_fraction=0.1, seeding="top_matching")
+        graph = tiny_graph([(0, 1)], blocks, [[0.3], [0.9]], [0.5, 0.5])
+        engine = CascadeEngine(graph, AffectParams(), DecisionParams(),
+                               params, design)
+        logit = engine.edge_base[0] + params.l1 * sender_affect
+        return logistic(logit)
+
+    # -1 + 0.4 + 0.5 (meme) + 2 * 0.5 (toxicity, same block) + 2 * 0.3
+    assert prob("meme", [0, 0], 0.3) == pytest.approx([logistic(1.5)] * 2)
+    # the logit collapses to exactly 0 for a mural across blocks
+    assert prob("mural", [0, 1], 0.3) == pytest.approx([0.5, 0.5])
 
 
 def test_run_invariants():
@@ -242,3 +249,96 @@ def test_enumerator_against_engine_on_pair():
     for state, p in exact.items():
         assert mc.get(state, 0.0) == pytest.approx(p, abs=0.02)
     assert np.max(np.abs(mc_marg - exact_marg)) < 0.02
+
+
+RESULT_ARRAYS = ("exposure", "affect", "active", "activation_round",
+                 "fired_edges", "attempts")
+
+
+def assert_same_result(a, b):
+    for name in RESULT_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.rounds_run == b.rounds_run
+
+
+def assert_batch_matches_run(engine, reps, max_rounds, tag):
+    labels = [(17, tag, r) for r in range(reps)]
+    alone = [derive_stream(*label) for label in labels]
+    together = [derive_stream(*label) for label in labels]
+    expected = [engine._run_sides(rng, max_rounds) for rng in alone]
+    batch = engine.run_batch(together, max_rounds)
+    assert len(batch) == len(engine.designs)
+    for side, results in enumerate(batch):
+        assert len(results) == reps
+        for rep, result in enumerate(results):
+            assert_same_result(result, expected[rep][side])
+    # each generator is left where run() leaves it
+    for a, b in zip(alone, together):
+        assert a.random() == b.random()
+
+
+def lockstep_engines():
+    """(name, engine) over the oracle graphs, an edgeless graph, and
+    ama-default and ama-fragmented at n=80 and n=400 with every seeding,
+    no noise, and two designs, the same one twice included."""
+    out = [(name, CascadeEngine(graph, affect, decision, transmission, design))
+           for name, graph, affect, decision, transmission, design
+           in enumeration_corpus() + [isolate3_fixture()]]
+    edgeless = tiny_graph([], [0, 0, 1], [[0.2], [0.5], [0.9]], [0.5] * 3)
+    lone = Design(format="meme", symbols=(0.5,), hook=0.5,
+                  call_and_response=False, toxicity=0.0,
+                  seed_fraction=0.67, seeding="random")
+    out.append(("edgeless", CascadeEngine(edgeless, AffectParams(),
+                                          DecisionParams(),
+                                          TransmissionParams(), lone)))
+    for preset in ("ama-default", "ama-fragmented"):
+        scenario = preset_scenario(preset)
+        for n in (80, 400):
+            s = replace(scenario, graph=replace(scenario.graph, n=n))
+            graph = scenario_graph(s, 11)
+            params = (s.affect, s.decision, s.transmission)
+            for seeding in ("random", "top_degree", "top_matching"):
+                d = replace(s.design, seeding=seeding)
+                rival = replace(d, format="meme",
+                                symbols=tuple(1.0 - x for x in d.symbols))
+                tag = f"{preset}-{n}-{seeding}"
+                out.append((tag, CascadeEngine(graph, *params, d)))
+                out.append((tag + "-rival", CascadeEngine(graph, *params,
+                                                          d, rival)))
+                out.append((tag + "-twice", CascadeEngine(graph, *params,
+                                                          d, d)))
+            quiet = (replace(s.affect, sigma_u=0.0),
+                     replace(s.decision, sigma_noise=0.0), s.transmission)
+            out.append((f"{preset}-{n}-quiet",
+                        CascadeEngine(graph, *quiet, s.design)))
+            out.append((f"{preset}-{n}-quiet-twice",
+                        CascadeEngine(graph, *quiet, s.design, s.design)))
+    return out
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, None])
+def test_run_batch_is_run_bit_for_bit(max_rounds):
+    for name, engine in lockstep_engines():
+        for reps in (1, 2, 5):
+            assert_batch_matches_run(engine, reps, max_rounds, name)
+
+
+def test_run_batch_reps_stop_at_their_own_round():
+    scenario = preset_scenario("ama-default")
+    graph = scenario_graph(scenario, 11)
+    engine = CascadeEngine(graph, scenario.affect, scenario.decision,
+                           scenario.transmission, scenario.design)
+    rngs = [derive_stream(3, r) for r in range(12)]
+    rounds = [res.rounds_run for res in engine.run_batch(rngs)[0]]
+    assert len(set(rounds)) > 1  # the batch mixes cascade lengths
+    assert rounds == [engine.run(derive_stream(3, r)).rounds_run
+                      for r in range(12)]
+
+
+def test_run_batch_on_one_generator_is_run():
+    graph, affect, decision, transmission, design = mid_setup()
+    engine = CascadeEngine(graph, affect, decision, transmission, design)
+    (result,), = engine.run_batch([derive_stream(8, "one")])
+    assert_same_result(result, engine.run(derive_stream(8, "one")))

@@ -19,7 +19,6 @@ from mobcast.graph import (
     load_edge_list,
     modularity,
     save_edge_list,
-    similarity,
     structure_summary,
 )
 from mobcast.scenario import derive_stream
@@ -181,8 +180,8 @@ def test_modularity_hand_value():
     # Q = 2 * (1/3 - (3/6)^2) = 1/6
     assert modularity(g) == pytest.approx(1 / 6)
     assert homophily_index(g) == pytest.approx(2 / 3)
-    assert similarity(g, 0, 1) == 1.0
-    assert similarity(g, 0, 2) == pytest.approx(0.2)
+    assert identity_similarity(g.identity[0], g.identity[1]) == 1.0
+    assert identity_similarity(g.identity[0], g.identity[2]) == pytest.approx(0.2)
 
 
 def test_edgeless_graph_conventions():

@@ -1,11 +1,15 @@
 """Impact component arithmetic on hand-built cascade outcomes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mobcast.affect import Design, DesignError
-from mobcast.diffusion import CascadeResult
+from mobcast.affect import Design, DesignError, matching_vector
+from mobcast.design import scenario_graph
+from mobcast.diffusion import CascadeEngine, CascadeResult
 from mobcast.impact import (
+    ImpactReport,
     ImpactWeights,
     block_rates,
     cohesion,
@@ -14,9 +18,11 @@ from mobcast.impact import (
     participation,
     polarization,
     score_cascade,
+    score_cascades,
     sway,
     within_block_reach,
 )
+from mobcast.scenario import derive_stream, preset_scenario
 from oracles import tiny_graph
 
 
@@ -137,3 +143,62 @@ def test_score_cascade_default_weights():
 def test_weights_validation():
     with pytest.raises(DesignError):
         ImpactWeights(delta_u=-0.1).validate()
+
+
+def component_report(graph, design, res, w=ImpactWeights()):
+    """The report built from the component functions, one at a time."""
+    match = matching_vector(graph.identity, design)
+    part = participation(graph, res.active)
+    coh = cohesion(graph, res.active)
+    sw = sway(match, res.active, w.delta_u)
+    pol = polarization(graph, res.active)
+    home = home_block(graph, res.exposure)
+    return ImpactReport(
+        participation=part, cohesion=coh, sway=sw, polarization=pol,
+        score=(w.w_participation * part + w.w_cohesion * coh
+               + w.w_sway * sw - w.kappa * pol),
+        home_block=home,
+        within_block_reach=within_block_reach(graph, res.active, home),
+        cross_block_sway=cross_block_sway(graph, match, res.active, home,
+                                          w.delta_u))
+
+
+def test_score_cascades_equals_score_cascade_per_result():
+    g = fixture_graph()
+    d = fixture_design()
+    w = ImpactWeights(delta_u=0.35)
+    outcomes = [([True, True, True, False], [True, False, False, False]),
+                ([False] * 4, [False] * 4),
+                ([True, False, False, True], [False, False, True, True]),
+                ([True] * 4, [True, False, True, False])]
+    results = [fixture_result(a, e) for a, e in outcomes]
+    expected = [component_report(g, d, res, w) for res in results]
+    assert score_cascades(g, d, results, w) == expected
+    assert [score_cascade(g, d, res, w) for res in results] == expected
+    single = tiny_graph([(0, 1)], [0, 0], [[0.5], [0.5]], [0.5, 0.5])
+    pair = [fixture_result([True, False], [True, False]),
+            fixture_result([True, True], [False, False])]
+    assert score_cascades(single, d, pair) == \
+        [component_report(single, d, res) for res in pair]
+
+
+@pytest.mark.parametrize("preset, n", [("ama-default", 80),
+                                       ("ama-default", 400),
+                                       ("ama-fragmented", 400)])
+def test_score_cascades_equals_score_cascade_on_cascades(preset, n):
+    scenario = preset_scenario(preset)
+    scenario = replace(scenario, graph=replace(scenario.graph, n=n))
+    graph = scenario_graph(scenario, 11)
+    for seeding in ("random", "top_matching"):
+        design = replace(scenario.design, seeding=seeding)
+        engine = CascadeEngine(graph, scenario.affect, scenario.decision,
+                               scenario.transmission, design)
+        results = [engine.run(derive_stream(5, seeding, r)) for r in range(24)]
+        reports = score_cascades(graph, design, results, scenario.impact,
+                                 match=engine.match)
+        assert reports == [score_cascade(graph, design, res, scenario.impact)
+                           for res in results]
+        assert reports == [component_report(graph, design, res,
+                                            scenario.impact)
+                           for res in results]
+        assert len({r.score for r in reports}) > 1

@@ -18,7 +18,6 @@ from mobcast.stats import (
     holm_adjust,
     logistic,
     normal_sf,
-    sample_mean_se,
     slope_test,
     student_t_sf,
     welch_t_test,
@@ -179,16 +178,6 @@ def test_logistic_stability():
     arr = logistic(np.array([-800.0, 0.0, 800.0]))
     assert np.all(np.isfinite(arr))
     assert arr[1] == 0.5
-
-
-def test_sample_mean_se():
-    m, se = sample_mean_se(np.array([2.0, 4.0, 6.0]))
-    assert m == pytest.approx(4.0)
-    assert se == pytest.approx(np.std([2.0, 4.0, 6.0], ddof=1) / math.sqrt(3))
-    m1, se1 = sample_mean_se(np.array([3.5]))
-    assert m1 == 3.5 and se1 == 0.0
-    with pytest.raises(StatsError):
-        sample_mean_se(np.array([]))
 
 
 def test_against_scipy_if_available():
