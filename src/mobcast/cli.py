@@ -1,25 +1,27 @@
 """Command-line pipeline: scenario in, CSV/JSON artifacts out.
 
 Subcommands: generate, simulate, optimize, game, falsify, estimate,
-calibrate. Every output file embeds the scenario hash and the master
-seed (CSV files as a leading comment line, JSON files as top-level
-fields), and floats are written at 17 significant digits.
+calibrate. Every artifact goes through mobcast.artifacts: CSV files
+through its one column-wise writer, opening with the scenario's meta
+line (name, hash and master seed), JSON files with the same three facts
+as top-level fields. Floats are written at 17 significant digits.
 
-simulate, optimize, game, falsify and calibrate split their work across
---jobs worker processes, one spawn pool per invocation: simulate its
-replications, optimize and game their grid cells, falsify the ethics
-test's design grid, and calibrate every meta-replication of every
-hypothesis. Each unit of work draws from its own derived stream and the
-results are reduced in order, so the output bytes do not depend on the
-worker count. generate rejects --jobs > 1; estimate accepts and ignores
-it. falsify and calibrate report one line per hypothesis on stderr.
+simulate, optimize, game, falsify and estimate take --reps; generate
+samples no replications and calibrate runs its own calibration
+scenario, so neither accepts it. simulate, optimize, game, falsify and
+calibrate split their work across --jobs worker processes, one spawn
+pool per invocation: simulate its replications, optimize and game their
+grid cells, falsify the ethics test's design grid, and calibrate every
+meta-replication of every hypothesis. Each unit of work draws from its
+own derived stream and the results are reduced in order, so the output
+bytes do not depend on the worker count. generate rejects --jobs > 1;
+estimate accepts and ignores it. falsify and calibrate report one line
+per hypothesis on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 import time
@@ -27,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .affect import Design
+from .artifacts import meta_line, write_csv, write_json
 from .design import _design_runs, _worker_map, optimize, scenario_graph
 # CascadeEngine and generate_network stay bound here: the benchmark's
 # tracer test reaches both through this module
@@ -40,8 +42,8 @@ from .falsify import (HYPOTHESES, MIN_REPS, HypothesisSpec, calibrate,
 from .game import best_response_dynamics, players_from_scenario
 from .graph import generate_network, save_edge_list, structure_summary  # noqa: F401
 from .scenario import (PRESET_NAMES, Scenario, ScenarioError, derive_stream,
-                       load_scenario, preset_scenario, save_scenario,
-                       scenario_hash)
+                       load_scenario, preset_scenario, save_scenario)
+from .stats import mean_sd
 
 __all__ = [
     "main",
@@ -58,51 +60,20 @@ __all__ = [
     "Scenario",
 ]
 
-IMPACT_COLUMNS = ("rep", "participation", "cohesion", "sway",
-                  "polarization", "i_p")
+# impacts.csv column -> ImpactReport field, in column order after "rep"
+_IMPACT_FIELDS = (("participation", "participation"),
+                  ("cohesion", "cohesion"), ("sway", "sway"),
+                  ("polarization", "polarization"), ("i_p", "score"))
+IMPACT_COLUMNS = ("rep",) + tuple(name for name, _ in _IMPACT_FIELDS)
 TRACE_COLUMNS = ("rep", "agent", "exposed", "affect", "active", "round")
+_TRACE_FORMATS = ("%d", "%d", "%d", "%.17g", "%d", "%d")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def _meta_line(scenario: Scenario) -> str:
-    return (f"# scenario={scenario.name} scenario_hash={scenario_hash(scenario)}"
-            f" master_seed={scenario.master_seed}\n")
-
-
-def _write_json(path: str, scenario: Scenario, payload: dict) -> None:
-    body = {"scenario_name": scenario.name,
-            "scenario_hash": scenario_hash(scenario),
-            "master_seed": scenario.master_seed}
-    body.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(body), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _announce(path: str) -> None:
-    print(f"wrote {path}")
+def _fields(objs, spec) -> list:
+    """Columns (name, format, [obj.name for obj in objs]) for `spec`,
+    a sequence of (name, format)."""
+    return [(name, fmt, [getattr(obj, name) for obj in objs])
+            for name, fmt in spec]
 
 
 def _sim_chunk(args):
@@ -140,100 +111,63 @@ def run_simulate(scenario: Scenario, out_dir: str, trace: bool = False,
         chunk_results = pool_map(_sim_chunk, tasks)
     rows = [item for chunk in chunk_results for item in chunk]
 
-    impacts_path = os.path.join(out_dir, "impacts.csv")
-    with open(impacts_path, "w", encoding="utf-8") as fh:
-        fh.write(_meta_line(scenario))
-        fh.write(",".join(IMPACT_COLUMNS) + "\n")
-        for r, report, _ in rows:
-            fh.write(",".join([
-                str(r), _fmt(report.participation), _fmt(report.cohesion),
-                _fmt(report.sway), _fmt(report.polarization),
-                _fmt(report.score)]) + "\n")
-    _announce(impacts_path)
+    meta = meta_line(scenario)
+    reports = [report for _, report, _ in rows]
+    write_csv(os.path.join(out_dir, "impacts.csv"), meta,
+              [("rep", "%d", [r for r, _, _ in rows])]
+              + [(name, "%.17g", [getattr(rep, attr) for rep in reports])
+                 for name, attr in _IMPACT_FIELDS])
 
     if trace:
-        trace_path = os.path.join(out_dir, "trace.csv")
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write(_meta_line(scenario))
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for r, _, tr in rows:
-                exposed, affect, active, rounds = tr
-                for agent in range(exposed.shape[0]):
-                    fh.write(",".join([
-                        str(r), str(agent), str(int(exposed[agent])),
-                        _fmt(affect[agent]), str(int(active[agent])),
-                        str(int(rounds[agent]))]) + "\n")
-        _announce(trace_path)
+        parts = [(np.full(tr[0].shape[0], r), np.arange(tr[0].shape[0]), *tr)
+                 for r, _, tr in rows]
+        write_csv(os.path.join(out_dir, "trace.csv"), meta,
+                  [(name, fmt, np.concatenate(col)) for name, fmt, col
+                   in zip(TRACE_COLUMNS, _TRACE_FORMATS, zip(*parts))])
 
-    def agg(name):
-        vals = [getattr(report, name) for _, report, _ in rows]
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) \
-            if len(vals) > 1 else 0.0
-        return {"mean": mean, "se": se}
+    def agg(attr):
+        mean, sd = mean_sd([getattr(rep, attr) for rep in reports])
+        return {"mean": mean, "se": float(sd / np.sqrt(len(reports)))}
 
     summary = {
         "reps": scenario.reps,
         "design": scenario.design,
-        "aggregates": {
-            "participation": agg("participation"),
-            "cohesion": agg("cohesion"),
-            "sway": agg("sway"),
-            "polarization": agg("polarization"),
-            "i_p": agg("score"),
-        },
+        "aggregates": {name: agg(attr) for name, attr in _IMPACT_FIELDS},
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_json(summary_path, scenario, summary)
-    _announce(summary_path)
+    write_json(os.path.join(out_dir, "summary.json"), scenario, summary)
     return summary
 
 
 def run_generate(scenario: Scenario, out_dir: str) -> str:
     graph = scenario_graph(scenario)
     graph_path = os.path.join(out_dir, "graph.txt")
-    save_edge_list(graph, graph_path, comment=_meta_line(scenario)[2:].strip())
-    _announce(graph_path)
-    structure_path = os.path.join(out_dir, "structure.json")
-    _write_json(structure_path, scenario,
-                {"structure": structure_summary(graph)})
-    _announce(structure_path)
+    save_edge_list(graph, graph_path, comment=meta_line(scenario))
+    print(f"wrote {graph_path}")
+    write_json(os.path.join(out_dir, "structure.json"), scenario,
+               {"structure": structure_summary(graph)})
     return graph_path
-
-
-_DESIGN_COLUMNS = ("format", "hook", "call_and_response", "toxicity",
-                   "seed_fraction", "seeding", "symbols")
-
-
-def _design_cells(design: Design) -> list[str]:
-    return [design.format, _fmt(design.hook),
-            "1" if design.call_and_response else "0", _fmt(design.toxicity),
-            _fmt(design.seed_fraction), design.seeding,
-            ";".join(_fmt(s) for s in design.symbols)]
 
 
 def run_optimize(scenario: Scenario, out_dir: str, jobs: int = 1):
     report = optimize(scenario, jobs=jobs)
-    table_path = os.path.join(out_dir, "evaluations.csv")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write(_meta_line(scenario))
-        fh.write(",".join(_DESIGN_COLUMNS
-                          + ("cost", "feasible", "mean_score", "se_score",
-                             "mean_participation", "mean_cohesion",
-                             "mean_sway", "mean_polarization")) + "\n")
-        for row in report.table:
-            cells = _design_cells(row.design)
-            cells.append(_fmt(row.cost))
-            cells.append("1" if row.feasible else "0")
-            for value in (row.mean_score, row.se_score,
-                          row.mean_participation, row.mean_cohesion,
-                          row.mean_sway, row.mean_polarization):
-                cells.append("" if value is None else _fmt(value))
-            fh.write(",".join(cells) + "\n")
-    _announce(table_path)
+    designs = [row.design for row in report.table]
+    write_csv(os.path.join(out_dir, "evaluations.csv"), meta_line(scenario),
+              _fields(designs, (("format", "%s"), ("hook", "%.17g"),
+                                ("call_and_response", "%d"),
+                                ("toxicity", "%.17g"),
+                                ("seed_fraction", "%.17g"),
+                                ("seeding", "%s")))
+              + [("symbols", "%s", [";".join("%.17g" % v for v in d.symbols)
+                                    for d in designs])]
+              + _fields(report.table, (("cost", "%.17g"), ("feasible", "%d"),
+                                       ("mean_score", "%.17g"),
+                                       ("se_score", "%.17g"),
+                                       ("mean_participation", "%.17g"),
+                                       ("mean_cohesion", "%.17g"),
+                                       ("mean_sway", "%.17g"),
+                                       ("mean_polarization", "%.17g"))))
 
-    report_path = os.path.join(out_dir, "optimize.json")
-    _write_json(report_path, scenario, {
+    write_json(os.path.join(out_dir, "optimize.json"), scenario, {
         "best_design": report.best_design,
         "best_mean": report.best_mean,
         "best_se": report.best_se,
@@ -245,15 +179,13 @@ def run_optimize(scenario: Scenario, out_dir: str, jobs: int = 1):
         "reps": report.reps,
         "evaluations": len(report.table),
     })
-    _announce(report_path)
     return report
 
 
 def run_game(scenario: Scenario, out_dir: str, jobs: int = 1):
     players = players_from_scenario(scenario)
     report = best_response_dynamics(scenario, players, jobs=jobs)
-    report_path = os.path.join(out_dir, "game.json")
-    _write_json(report_path, scenario, {
+    write_json(os.path.join(out_dir, "game.json"), scenario, {
         "kind": report.kind,
         "profile_index": report.profile_index,
         "profile": report.profile,
@@ -264,7 +196,6 @@ def run_game(scenario: Scenario, out_dir: str, jobs: int = 1):
         "strategies_right": report.strategies_right,
         "reps": report.reps,
     })
-    _announce(report_path)
     return report
 
 
@@ -291,8 +222,7 @@ def run_falsify(scenario: Scenario, out_dir: str, reps: int | None = None,
         report = run_test(spec, jobs=jobs)
         _progress(f"falsify {hid} reject={int(report.reject)}", start)
         reports.append(report)
-        path = os.path.join(out_dir, f"falsify_{hid}.json")
-        _write_json(path, scenario, {
+        write_json(os.path.join(out_dir, f"falsify_{hid}.json"), scenario, {
             "id": report.id,
             "statistic": report.statistic,
             "p_value": report.p_value,
@@ -302,17 +232,12 @@ def run_falsify(scenario: Scenario, out_dir: str, reps: int | None = None,
             "arms": report.arms,
             "details": report.details,
         })
-        _announce(path)
 
-    summary_path = os.path.join(out_dir, "falsify_summary.csv")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(_meta_line(scenario))
-        fh.write("id,statistic,p_value,alpha,reject\n")
-        for report in reports:
-            fh.write(",".join([report.id, _fmt(report.statistic),
-                               _fmt(report.p_value), _fmt(report.alpha),
-                               "1" if report.reject else "0"]) + "\n")
-    _announce(summary_path)
+    write_csv(os.path.join(out_dir, "falsify_summary.csv"),
+              meta_line(scenario),
+              _fields(reports, (("id", "%s"), ("statistic", "%.17g"),
+                                ("p_value", "%.17g"), ("alpha", "%.17g"),
+                                ("reject", "%d"))))
     return reports
 
 
@@ -336,14 +261,9 @@ def run_estimate(scenario: Scenario, out_dir: str,
     designs = (replace(probe, format="meme"),
                replace(probe, format="theatre"))
     panel = build_panel(scenario, designs=designs, reps=reps)
-    agents_path = os.path.join(out_dir, "panel_agents.csv")
-    edges_path = os.path.join(out_dir, "panel_edges.csv")
-    meta = {"scenario": scenario.name,
-            "scenario_hash": scenario_hash(scenario),
-            "master_seed": str(scenario.master_seed)}
-    write_panel_csv(panel, agents_path, edges_path, meta=meta)
-    _announce(agents_path)
-    _announce(edges_path)
+    write_panel_csv(panel, os.path.join(out_dir, "panel_agents.csv"),
+                    os.path.join(out_dir, "panel_edges.csv"),
+                    meta_line(scenario))
 
     fits = {}
     fits["affect_ols_oracle"] = fit_affect_ols(
@@ -363,9 +283,7 @@ def run_estimate(scenario: Scenario, out_dir: str,
         "implied_affect_coefficients":
             implied_affect_coefficients(scenario, designs[0]),
     }
-    path = os.path.join(out_dir, "estimate.json")
-    _write_json(path, scenario, payload)
-    _announce(path)
+    write_json(os.path.join(out_dir, "estimate.json"), scenario, payload)
     return payload
 
 
@@ -387,20 +305,13 @@ def run_calibrate(scenario: Scenario, out_dir: str, meta_reps: int = 400,
                       f"rejections={rep.rejections}", start)
             reports.append(rep)
 
-    csv_path = os.path.join(out_dir, "calibration.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(_meta_line(small))
-        fh.write("id,meta_reps,rejections,rate,ci_low,ci_high,alpha\n")
-        for rep in reports:
-            fh.write(",".join([rep.id, str(rep.meta_reps),
-                               str(rep.rejections), _fmt(rep.rate),
-                               _fmt(rep.ci_low), _fmt(rep.ci_high),
-                               _fmt(rep.alpha)]) + "\n")
-    _announce(csv_path)
-    json_path = os.path.join(out_dir, "calibration.json")
-    _write_json(json_path, small, {"calibration": reports,
-                                   "meta_reps": meta_reps})
-    _announce(json_path)
+    write_csv(os.path.join(out_dir, "calibration.csv"), meta_line(small),
+              _fields(reports, (("id", "%s"), ("meta_reps", "%d"),
+                                ("rejections", "%d"), ("rate", "%.17g"),
+                                ("ci_low", "%.17g"), ("ci_high", "%.17g"),
+                                ("alpha", "%.17g"))))
+    write_json(os.path.join(out_dir, "calibration.json"), small,
+               {"calibration": reports, "meta_reps": meta_reps})
     return reports
 
 
@@ -439,7 +350,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--scenario", help="scenario file path or preset name")
         p.add_argument("--seed", type=int, help="override master_seed")
-        p.add_argument("--reps", type=int, help="override replication count")
+        # generate samples no replications, and calibrate runs
+        # calibration_scenario's fixed count
+        if name not in ("generate", "calibrate"):
+            p.add_argument("--reps", type=int,
+                           help="override replication count")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes (results are identical)")

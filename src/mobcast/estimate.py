@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affect import Design, measure_items
+from .artifacts import write_csv
 from .design import _rep_engines, _replications, scenario_graph
 from .graph import identity_similarity
 from .scenario import Scenario
@@ -104,6 +105,25 @@ class PanelData:
 
     def n_edge_rows(self) -> int:
         return self.sender.shape[0]
+
+
+# The panel's CSV schema: (PanelData field, CSV column, format) for each
+# column of panel_agents.csv and of panel_edges.csv. %d columns hold
+# int64 arrays and %.17g columns float64 ones; "items", the one 2-D
+# field, spans the columns y1..yK.
+_AGENT_COLUMNS = (
+    ("arm", "arm", "%d"), ("rep", "rep", "%d"), ("agent", "agent", "%d"),
+    ("items", "y", "%.17g"), ("exposure", "exposure", "%d"),
+    ("affect", "affect", "%.17g"), ("matching", "matching", "%.17g"),
+    ("context", "context", "%.17g"), ("decision", "decision", "%d"),
+    ("influence", "influence", "%d"))
+_EDGE_COLUMNS = (
+    ("edge_arm", "arm", "%d"), ("edge_rep", "rep", "%d"),
+    ("sender", "sender", "%d"), ("target", "target", "%d"),
+    ("sender_affect", "sender_affect", "%.17g"),
+    ("similarity", "similarity", "%.17g"), ("meme", "meme", "%d"),
+    ("same_block", "same_block", "%d"), ("success", "success", "%d"))
+_PANEL_COLUMNS = _AGENT_COLUMNS + _EDGE_COLUMNS
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray,
@@ -330,14 +350,7 @@ def build_panel(scenario: Scenario, designs: tuple[Design, ...] | None = None,
     if not scenario.regenerate_graph_per_rep:
         fixed_graph = scenario_graph(scenario, master_seed)
 
-    agent_cols: dict[str, list[np.ndarray]] = {k: [] for k in (
-        "arm", "rep", "agent", "exposure", "affect", "matching", "context",
-        "decision", "influence")}
-    item_blocks: list[np.ndarray] = []
-    edge_cols: dict[str, list[np.ndarray]] = {k: [] for k in (
-        "arm", "rep", "sender", "target", "sender_affect", "similarity",
-        "meme", "same_block", "success")}
-
+    cols: dict[str, list[np.ndarray]] = {f: [] for f, _, _ in _PANEL_COLUMNS}
     for arm, design in enumerate(designs):
         for engine, ids in _rep_engines(scenario, fixed_graph, master_seed,
                                         range(reps), design):
@@ -345,26 +358,8 @@ def build_panel(scenario: Scenario, designs: tuple[Design, ...] | None = None,
             runs = _replications(engine, [(master_seed, "panel", arm, r)
                                           for r in ids], scenario.max_rounds)
             for r, (rng, result, _) in zip(ids, runs):
-                items = measure_items(scenario.measurement, result.affect, rng)
-
-                agent_cols["arm"].append(np.full(n, arm, dtype=np.int64))
-                agent_cols["rep"].append(np.full(n, r, dtype=np.int64))
-                agent_cols["agent"].append(np.arange(n, dtype=np.int64))
-                agent_cols["exposure"].append(result.exposure.astype(np.int64))
-                agent_cols["affect"].append(result.affect)
-                agent_cols["matching"].append(engine.match)
-                agent_cols["context"].append(graph.context)
-                agent_cols["decision"].append(result.active.astype(np.int64))
-                agent_cols["influence"].append(result.influence_counts())
-                item_blocks.append(items)
-
                 att = result.attempts
                 k = att.shape[0]
-                edge_cols["arm"].append(np.full(k, arm, dtype=np.int64))
-                edge_cols["rep"].append(np.full(k, r, dtype=np.int64))
-                edge_cols["sender"].append(att[:, 0])
-                edge_cols["target"].append(att[:, 1])
-                edge_cols["sender_affect"].append(result.affect[att[:, 0]])
                 sim = np.empty(0)
                 same = np.empty(0, dtype=np.int64)
                 if k:
@@ -372,39 +367,38 @@ def build_panel(scenario: Scenario, designs: tuple[Design, ...] | None = None,
                                               graph.identity[att[:, 1]])
                     same = (graph.block[att[:, 0]]
                             == graph.block[att[:, 1]]).astype(np.int64)
-                edge_cols["similarity"].append(sim)
-                edge_cols["same_block"].append(same)
-                edge_cols["meme"].append(np.full(
-                    k, 1 if design.format == "meme" else 0, dtype=np.int64))
-                edge_cols["success"].append(att[:, 2])
+                meme = 1 if design.format == "meme" else 0
+                for f, values in (
+                        ("arm", np.full(n, arm, dtype=np.int64)),
+                        ("rep", np.full(n, r, dtype=np.int64)),
+                        ("agent", np.arange(n, dtype=np.int64)),
+                        ("items", measure_items(scenario.measurement,
+                                                result.affect, rng)),
+                        ("exposure", result.exposure.astype(np.int64)),
+                        ("affect", result.affect),
+                        ("matching", engine.match),
+                        ("context", graph.context),
+                        ("decision", result.active.astype(np.int64)),
+                        ("influence", result.influence_counts()),
+                        ("edge_arm", np.full(k, arm, dtype=np.int64)),
+                        ("edge_rep", np.full(k, r, dtype=np.int64)),
+                        ("sender", att[:, 0]),
+                        ("target", att[:, 1]),
+                        ("sender_affect", result.affect[att[:, 0]]),
+                        ("similarity", sim),
+                        ("meme", np.full(k, meme, dtype=np.int64)),
+                        ("same_block", same),
+                        ("success", att[:, 2])):
+                    cols[f].append(values)
 
-    def cat(parts, dtype=None):
-        if not parts:
-            return np.empty(0, dtype=dtype or float)
-        return np.concatenate(parts)
+    def cat(f, fmt):
+        if cols[f]:
+            return np.concatenate(cols[f])
+        return np.empty((0, 0) if f == "items" else 0,
+                        dtype=np.int64 if fmt == "%d" else float)
 
-    return PanelData(
-        arm=cat(agent_cols["arm"], np.int64),
-        rep=cat(agent_cols["rep"], np.int64),
-        agent=cat(agent_cols["agent"], np.int64),
-        items=np.vstack(item_blocks) if item_blocks else np.empty((0, 0)),
-        exposure=cat(agent_cols["exposure"], np.int64),
-        affect=cat(agent_cols["affect"]),
-        matching=cat(agent_cols["matching"]),
-        context=cat(agent_cols["context"]),
-        decision=cat(agent_cols["decision"], np.int64),
-        influence=cat(agent_cols["influence"], np.int64),
-        edge_arm=cat(edge_cols["arm"], np.int64),
-        edge_rep=cat(edge_cols["rep"], np.int64),
-        sender=cat(edge_cols["sender"], np.int64),
-        target=cat(edge_cols["target"], np.int64),
-        sender_affect=cat(edge_cols["sender_affect"]),
-        similarity=cat(edge_cols["similarity"]),
-        meme=cat(edge_cols["meme"], np.int64),
-        same_block=cat(edge_cols["same_block"], np.int64),
-        success=cat(edge_cols["success"], np.int64),
-        designs=tuple(designs),
-    )
+    return PanelData(**{f: cat(f, fmt) for f, _, fmt in _PANEL_COLUMNS},
+                     designs=tuple(designs))
 
 
 def _affect_column(panel: PanelData, mode: str) -> np.ndarray:
@@ -456,50 +450,25 @@ def fit_edge_transmission(panel: PanelData) -> FitResult:
                                      "similarity", "meme"))
 
 
-_AGENT_HEADER = ("arm", "rep", "agent", "exposure", "affect", "matching",
-                 "context", "decision", "influence")
-_EDGE_HEADER = ("arm", "rep", "sender", "target", "sender_affect",
-                "similarity", "meme", "same_block", "success")
-# rows formatted per writelines call; bounds the per-chunk Python lists
-_PANEL_CHUNK = 1 << 16
-
-
-def _write_rows(fh, fmt: str, cols: list[np.ndarray]) -> None:
-    """Write zip(*cols) through one %-format, _PANEL_CHUNK rows at a time.
-    %d and %.17g give the same text as str(int(v)) and format(v, ".17g")."""
-    n = cols[0].shape[0]
-    for start in range(0, n, _PANEL_CHUNK):
-        stop = start + _PANEL_CHUNK
-        fh.writelines([fmt % row for row in
-                       zip(*[c[start:stop].tolist() for c in cols])])
+def _csv_columns(panel: PanelData, schema) -> list:
+    cols = []
+    for f, name, fmt in schema:
+        values = getattr(panel, f)
+        if f == "items":
+            cols += [(f"{name}{k + 1}", fmt, values[:, k])
+                     for k in range(values.shape[1])]
+        else:
+            cols.append((name, fmt, values))
+    return cols
 
 
 def write_panel_csv(panel: PanelData, agents_path: str, edges_path: str,
-                    meta: dict[str, str] | None = None) -> None:
-    """Write the panel as two CSV files; %.17g round-trips every double,
-    so read_panel_csv gives back the same arrays bit for bit."""
-    meta_line = ""
-    if meta:
-        meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
-    n_items = panel.items.shape[1]
-    with open(agents_path, "w", encoding="utf-8") as fh:
-        fh.write(meta_line)
-        item_names = [f"y{k + 1}" for k in range(n_items)]
-        fh.write(",".join(list(_AGENT_HEADER[:3]) + item_names
-                          + list(_AGENT_HEADER[3:])) + "\n")
-        fmt = ",".join(["%d"] * 3 + ["%.17g"] * n_items
-                       + ["%d", "%.17g", "%.17g", "%.17g", "%d", "%d"]) + "\n"
-        _write_rows(fh, fmt, [panel.arm, panel.rep, panel.agent]
-                    + [panel.items[:, k] for k in range(n_items)]
-                    + [panel.exposure, panel.affect, panel.matching,
-                       panel.context, panel.decision, panel.influence])
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        fh.write(meta_line)
-        fh.write(",".join(_EDGE_HEADER) + "\n")
-        _write_rows(fh, "%d,%d,%d,%d,%.17g,%.17g,%d,%d,%d\n", [
-            panel.edge_arm, panel.edge_rep, panel.sender, panel.target,
-            panel.sender_affect, panel.similarity, panel.meme,
-            panel.same_block, panel.success])
+                    meta: str | None = None) -> None:
+    """Write the panel as two CSV files, each opening with a `# meta`
+    line when `meta` is given; %.17g round-trips every double, so
+    read_panel_csv gives back the same arrays bit for bit."""
+    write_csv(agents_path, meta, _csv_columns(panel, _AGENT_COLUMNS))
+    write_csv(edges_path, meta, _csv_columns(panel, _EDGE_COLUMNS))
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
@@ -519,42 +488,28 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _read_columns(path: str, schema) -> dict[str, np.ndarray]:
+    header, rows = _read_csv(path)
+
+    def col(name, fmt):
+        idx = header.index(name)
+        if fmt == "%d":
+            return np.array([int(row[idx]) for row in rows], dtype=np.int64)
+        return np.array([float(row[idx]) for row in rows])
+
+    out = {}
+    for f, name, fmt in schema:
+        if f == "items":
+            names = [h for h in header if h.startswith(name)]
+            out[f] = np.empty((len(rows), len(names)))
+            for k, h in enumerate(names):
+                out[f][:, k] = col(h, fmt)
+        else:
+            out[f] = col(name, fmt)
+    return out
+
+
 def read_panel_csv(agents_path: str, edges_path: str) -> PanelData:
     """Inverse of write_panel_csv (metadata comment lines are skipped)."""
-    a_header, a_rows = _read_csv(agents_path)
-    e_header, e_rows = _read_csv(edges_path)
-    item_names = [h for h in a_header if h.startswith("y")]
-    n_items = len(item_names)
-
-    def col(header, rows, name, integer):
-        idx = header.index(name)
-        vals = [row[idx] for row in rows]
-        if integer:
-            return np.array([int(v) for v in vals], dtype=np.int64)
-        return np.array([float(v) for v in vals])
-
-    items = np.empty((len(a_rows), n_items))
-    for k, name in enumerate(item_names):
-        items[:, k] = col(a_header, a_rows, name, False)
-
-    return PanelData(
-        arm=col(a_header, a_rows, "arm", True),
-        rep=col(a_header, a_rows, "rep", True),
-        agent=col(a_header, a_rows, "agent", True),
-        items=items,
-        exposure=col(a_header, a_rows, "exposure", True),
-        affect=col(a_header, a_rows, "affect", False),
-        matching=col(a_header, a_rows, "matching", False),
-        context=col(a_header, a_rows, "context", False),
-        decision=col(a_header, a_rows, "decision", True),
-        influence=col(a_header, a_rows, "influence", True),
-        edge_arm=col(e_header, e_rows, "arm", True),
-        edge_rep=col(e_header, e_rows, "rep", True),
-        sender=col(e_header, e_rows, "sender", True),
-        target=col(e_header, e_rows, "target", True),
-        sender_affect=col(e_header, e_rows, "sender_affect", False),
-        similarity=col(e_header, e_rows, "similarity", False),
-        meme=col(e_header, e_rows, "meme", True),
-        same_block=col(e_header, e_rows, "same_block", True),
-        success=col(e_header, e_rows, "success", True),
-    )
+    return PanelData(**_read_columns(agents_path, _AGENT_COLUMNS),
+                     **_read_columns(edges_path, _EDGE_COLUMNS))

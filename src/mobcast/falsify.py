@@ -27,7 +27,8 @@ from .estimate import fit_logistic, wald_p_value
 from .graph import (CONTEXT_PRESETS, SocialGraph, generate_network,
                     homophily_index, identity_similarity)
 from .scenario import DesignSpace, Scenario, derive_stream
-from .stats import holm_adjust, slope_test, welch_t_test, wilson_interval
+from .stats import (holm_adjust, mean_sd, slope_test, welch_t_test,
+                    wilson_interval)
 
 __all__ = [
     "HYPOTHESES",
@@ -184,9 +185,8 @@ def _summary(reports) -> dict[str, float]:
               "within_block_reach", "cross_block_sway")
     out = {"reps": float(len(reports))}
     for f in fields:
-        vals = [getattr(rep, f) for rep in reports]
-        out["mean_" + f] = float(np.mean(vals))
-        out["sd_" + f] = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        out["mean_" + f], out["sd_" + f] = mean_sd(
+            [getattr(rep, f) for rep in reports])
     return out
 
 
@@ -440,14 +440,11 @@ def test_h0_ethics(spec: HypothesisSpec, jobs: int = 1) -> TestReport:
 
     crn_diff = (best_row(unconstrained).mean_polarization
                 - best_row(constrained).mean_polarization)
-    arms = {
-        "unconstrained": {"reps": float(spec.reps),
-                          "mean_polarization": float(np.mean(evals["unconstrained"])),
-                          "sd_polarization": float(np.std(evals["unconstrained"], ddof=1))},
-        "constrained": {"reps": float(spec.reps),
-                        "mean_polarization": float(np.mean(evals["constrained"])),
-                        "sd_polarization": float(np.std(evals["constrained"], ddof=1))},
-    }
+    arms = {}
+    for label, values in evals.items():
+        mean, sd = mean_sd(values)
+        arms[label] = {"reps": float(spec.reps), "mean_polarization": mean,
+                       "sd_polarization": sd}
     details = {"null": spec.null, "null_settings": null_settings(spec.id),
                "theta_differs": unconstrained.best_design != constrained.best_design,
                "crn_polarization_difference": float(crn_diff),

@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import io
 import math
+import re
 import types
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -156,6 +157,10 @@ class Scenario:
     game: GameConfig = field(default_factory=GameConfig)
 
     def validate(self) -> None:
+        # every CSV meta line carries the name as one `scenario=<name>` token
+        if not re.fullmatch(r"[^\s=]+", self.name):
+            raise ScenarioError(f"scenario name {self.name!r} must be "
+                                "non-empty, without whitespace or '='")
         if self.reps < 1:
             raise ScenarioError("reps must be >= 1")
         if self.master_seed < 0:

@@ -19,6 +19,7 @@ __all__ = [
     "betainc_regularized",
     "student_t_sf",
     "normal_sf",
+    "mean_sd",
     "WelchResult",
     "welch_t_test",
     "holm_adjust",
@@ -110,6 +111,13 @@ def student_t_sf(t: float, df: float) -> float:
 
 def normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def mean_sd(values) -> tuple[float, float]:
+    """Sample mean and standard deviation (ddof=1; 0.0 for one value),
+    through numpy's pairwise sums."""
+    sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return float(np.mean(values)), sd
 
 
 @dataclass(frozen=True)

@@ -326,15 +326,13 @@ def dense_pair_coins(block: np.ndarray, p_in: float, p_out: float,
 
 
 def row_panel_csv(panel, agents_path: str, edges_path: str,
-                  meta: dict[str, str] | None = None) -> None:
+                  meta: str | None = None) -> None:
     """write_panel_csv one row at a time, each cell through str(int(v))
     or format(float(v), ".17g")."""
     def fmt(value) -> str:
         return format(float(value), ".17g")
 
-    meta_line = ""
-    if meta:
-        meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
+    meta_line = f"# {meta}\n" if meta else ""
     n_items = panel.items.shape[1]
     with open(agents_path, "w", encoding="utf-8") as fh:
         fh.write(meta_line)

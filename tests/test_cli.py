@@ -13,7 +13,8 @@ from dataclasses import replace
 
 import pytest
 
-from mobcast.cli import IMPACT_COLUMNS, TRACE_COLUMNS, _jsonable, main
+from mobcast.artifacts import jsonable
+from mobcast.cli import IMPACT_COLUMNS, TRACE_COLUMNS, main
 from mobcast.estimate import (factor_scores, fit_activation, fit_affect_ols,
                               fit_edge_transmission, read_panel_csv)
 from mobcast.falsify import HYPOTHESES, calibration_scenario
@@ -220,7 +221,7 @@ def test_estimate_fits_refit_from_its_csvs(scenario_file, tmp_path):
         "edge_transmission": fit_edge_transmission(panel),
     }
     est = json.loads((tmp_path / "estimate.json").read_text())
-    assert json.loads(json.dumps(_jsonable(refit))) == est["fits"]
+    assert json.loads(json.dumps(jsonable(refit))) == est["fits"]
     assert list(loadings) == est["factor_loadings"]
 
 
@@ -351,17 +352,73 @@ def test_simulate_rejects_non_finite_and_negative_input(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_calibrate_stamps_the_scenario_it_ran(scenario_file, tmp_path):
+def test_calibrate_stamps_the_scenario_it_ran(scenario_file, tmp_path,
+                                              capsys):
     path, scenario = scenario_file
-    csvs = []
-    for extra in ([], ["--reps", "200"]):
-        out = tmp_path / f"run{len(csvs)}"
-        assert main(["calibrate", "--scenario", path, "--out", str(out),
-                     "--meta-reps", "2"] + extra) == 0
-        csvs.append((out / "calibration.csv").read_text())
-    assert csvs[0] == csvs[1]
+    out = tmp_path / "run"
+    assert main(["calibrate", "--scenario", path, "--out", str(out),
+                 "--meta-reps", "2"]) == 0
+    csv = (out / "calibration.csv").read_text()
     ran = calibration_scenario(scenario)
-    assert f"scenario_hash={scenario_hash(ran)}" in csvs[0].splitlines()[0]
+    assert f"scenario_hash={scenario_hash(ran)}" in csv.splitlines()[0]
+    # calibration_scenario fixes its own reps, so --reps is refused
+    refused = tmp_path / "refused"
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--scenario", path, "--out", str(refused),
+              "--meta-reps", "2", "--reps", "200"])
+    assert exc.value.code == 2
+    assert "--reps" in capsys.readouterr().err
+    assert not refused.exists()
+
+
+def test_generate_refuses_reps(scenario_file, tmp_path, capsys):
+    path, _ = scenario_file
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--scenario", path, "--out", str(tmp_path),
+              "--reps", "7"])
+    assert exc.value.code == 2
+    assert "--reps" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name_line", ["name =", "name = my run",
+                                       "name = my\n  run"])
+def test_scenario_name_must_be_one_meta_line_token(tmp_path, capsys,
+                                                   name_line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[scenario]\n{name_line}\nmaster_seed = 3\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "scenario name" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["generate"], ["graph.txt"]),
+    (["simulate", "--trace"], ["impacts.csv", "trace.csv"]),
+    (["optimize"], ["evaluations.csv"]),
+    (["game"], []),
+    (["falsify", "--reps", "30"], ["falsify_summary.csv"]),
+    (["estimate", "--reps", "2"], ["panel_agents.csv", "panel_edges.csv"]),
+    (["calibrate", "--meta-reps", "2"], ["calibration.csv"]),
+], ids=["generate", "simulate", "optimize", "game", "falsify", "estimate",
+        "calibrate"])
+def test_artifacts_open_with_the_meta_line_of_the_scenario_that_ran(
+        scenario_file, tmp_path, argv, names):
+    """Every CSV, and graph.txt, starts with the meta line of the scenario
+    that produced it: for calibrate, calibration_scenario's."""
+    path, scenario = scenario_file
+    assert main([*argv, "--scenario", path, "--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir()
+                     if p.suffix == ".csv" or p.name == "graph.txt")
+    assert written == sorted(names)
+    ran = scenario
+    if argv[0] == "calibrate":
+        ran = calibration_scenario(scenario)
+    meta = (f"# scenario={ran.name} scenario_hash={scenario_hash(ran)} "
+            f"master_seed={ran.master_seed}")
+    for name in names:
+        assert read_lines(tmp_path / name)[0] == meta, name
 
 
 def test_preset_and_error_paths(tmp_path, capsys):

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-import mobcast.estimate
+import mobcast.artifacts
 from mobcast.affect import Design
 from mobcast.diffusion import seed_count
 from mobcast.estimate import (
@@ -248,7 +248,7 @@ def test_panel_csv_round_trip(tmp_path):
     panel = build_panel(scenario)
     ap = str(tmp_path / "agents.csv")
     ep = str(tmp_path / "edges.csv")
-    write_panel_csv(panel, ap, ep, meta={"scenario": "panel-fixture"})
+    write_panel_csv(panel, ap, ep, meta="scenario=panel-fixture")
     back = read_panel_csv(ap, ep)
     names = [f.name for f in fields(PanelData) if f.name != "designs"]
     assert len(names) == 19
@@ -290,13 +290,13 @@ def assert_same_files_as_row_oracle(tmp_path, panel, meta):
             assert g.read() == w.read(), got
 
 
-@pytest.mark.parametrize("meta", [{"scenario": "panel-fixture",
-                                   "master_seed": "808"}, None])
+@pytest.mark.parametrize("meta", ["scenario=panel-fixture master_seed=808",
+                                  None], ids=["meta0", "None"])
 @pytest.mark.parametrize("chunk", [7, None])
 def test_panel_writer_matches_row_oracle(tmp_path, monkeypatch, meta, chunk):
     panel = build_panel(panel_scenario(n=80))
     if chunk is not None:
-        monkeypatch.setattr(mobcast.estimate, "_PANEL_CHUNK", chunk)
+        monkeypatch.setattr(mobcast.artifacts, "CSV_CHUNK", chunk)
         # chunks break mid-panel in both files
         assert panel.n_agent_rows() % chunk and panel.n_edge_rows() % chunk
         assert panel.n_edge_rows() > chunk
@@ -306,7 +306,7 @@ def test_panel_writer_matches_row_oracle(tmp_path, monkeypatch, meta, chunk):
 @pytest.mark.parametrize("case", ["no_edges", "one_item", "special_floats"])
 def test_panel_writer_edge_cases_match_row_oracle(tmp_path, monkeypatch,
                                                   case):
-    monkeypatch.setattr(mobcast.estimate, "_PANEL_CHUNK", 5)
+    monkeypatch.setattr(mobcast.artifacts, "CSV_CHUNK", 5)
     if case == "no_edges":
         panel = synthetic_panel(edges=0)
     elif case == "one_item":
@@ -318,4 +318,4 @@ def test_panel_writer_edge_cases_match_row_oracle(tmp_path, monkeypatch,
         panel.affect[:len(special)] = special
         panel.items[-len(special):, 1] = special
         panel.sender_affect[3:3 + len(special)] = special
-    assert_same_files_as_row_oracle(tmp_path, panel, {"scenario": "x"})
+    assert_same_files_as_row_oracle(tmp_path, panel, "scenario=x")
